@@ -17,17 +17,11 @@ configuration).
 import time
 
 from repro.cluster.catalog import METABLADE
-from repro.core.system import BladedBeowulf
 from repro.metrics.report import format_table
 from repro.metrics.throughput import throughput_report
 from repro.runner import bench_quick, write_bench_json
-from repro.sched import (
-    BatchScheduler,
-    JobState,
-    SchedConfig,
-    policy_by_name,
-    synthetic_stream,
-)
+from repro.sched import JobState
+from repro.sched.scenario import build_scheduler, scenario_params
 
 QUICK = bench_quick()
 JOBS = 60 if QUICK else 200
@@ -37,23 +31,15 @@ MTBF_S = 0.04
 
 
 def _serve(policy_name: str, fail: bool):
-    machine = BladedBeowulf.metablade()
-    specs = synthetic_stream(
-        jobs=JOBS,
-        max_nodes=machine.cluster.nodes,
-        flop_rate=machine.node_flop_rate(),
-        seed=SEED,
-        mean_interarrival_s=INTERARRIVAL_S,
-    )
-    config = SchedConfig(checkpoint_every=1 if fail else None)
-    sched = BatchScheduler(
-        machine=machine, policy=policy_by_name(policy_name), config=config
-    )
-    sched.submit_stream(specs)
-    if fail:
-        horizon = specs[-1].arrival_s + JOBS * INTERARRIVAL_S
-        sched.inject_poisson_failures(horizon, MTBF_S, seed=SEED + 1)
-    outcome = sched.run()
+    params = scenario_params(SEED, {
+        "jobs": JOBS,
+        "policy": policy_name,
+        "interarrival": INTERARRIVAL_S,
+        "fail_inject": fail,
+        "mtbf": MTBF_S,
+        "checkpoint": 1 if fail else 0,
+    })
+    outcome = build_scheduler(params).run()
     return outcome, throughput_report(outcome, METABLADE)
 
 

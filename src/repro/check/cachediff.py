@@ -18,8 +18,9 @@ disabled.  This module checks that claim two ways per configuration:
   byte-identical" guarantee in executable form.
 
 ``python -m repro.cli check --cache-diff`` runs a small matrix of
-(policy × failure injection × thermal × platform) configurations and
-fails loudly on the first mismatch.
+(policy × failure injection × thermal × network faults × platform)
+configurations and fails loudly on the first mismatch.  The network-
+fault ledger (``SchedOutcome.net``) is compared alongside the digest.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -104,6 +105,18 @@ def sched_outcome_digest(outcome) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def net_mismatch(nets) -> str:
+    """Report suffix naming differing ``SchedOutcome.net`` ledgers.
+
+    :func:`sched_outcome_digest` leaves the net ledger out (recorded
+    digests predate it), so both audits compare it alongside.  Empty
+    when every run agrees.
+    """
+    if all(net == nets[0] for net in nets):
+        return ""
+    return f", net ledgers differ: {list(nets)}"
+
+
 def manifest_trace_hash(manifest) -> str:
     """sha256 over a manifest's normalized event stream (params excluded,
     so two recordings differing only in the cache knob can compare)."""
@@ -128,12 +141,14 @@ class CacheDiffCase:
     cache_hits: int
     cache_misses: int
     cache_bypasses: int
+    nets: Tuple[Optional[Any], ...]     # SchedOutcome.net per run
 
     @property
     def ok(self) -> bool:
         return (
             self.outcome_on == self.outcome_off
             and self.trace_on == self.trace_off
+            and not net_mismatch(self.nets)
         )
 
 
@@ -156,7 +171,7 @@ class CacheDiffReport:
                 f"{c.outcome_on[:12]}/{c.outcome_off[:12]}, trace "
                 f"{c.trace_on[:12]}/{c.trace_off[:12]} "
                 f"(hits={c.cache_hits} misses={c.cache_misses} "
-                f"bypasses={c.cache_bypasses})"
+                f"bypasses={c.cache_bypasses}){net_mismatch(c.nets)}"
             )
         verdict = "all identical" if self.ok else "MISMATCH FOUND"
         lines.append(f"  => {len(self.cases)} configurations, {verdict}")
@@ -175,29 +190,34 @@ _CACHE_DIFF_MATRIX = [
     {"policy": "fcfs", "platform": "green-destiny-240"},
     {"policy": "backfill", "platform": "green-destiny-240",
      "fail_inject": True, "checkpoint": 1},
+    {"policy": "backfill", "net_fault": True, "net_mtbf": 0.05,
+     "net_mttr": 0.003, "checkpoint": 1},
+    {"policy": "fcfs", "thermal": True, "thermal_fail": True,
+     "thermal_accel": 150.0, "mtbf": 0.03},
 ]
 
 
 def run_cache_differential(seed: int = 2001, jobs: int = 8,
                            quick: bool = False) -> CacheDiffReport:
     """Run the cache-on/cache-off matrix and compare both fingerprints."""
-    from repro.check.replay import _build_sched, _sched_params
     from repro.check.replay import record_sched_manifest
+    from repro.sched.scenario import build_scheduler, scenario_params
 
     matrix = _CACHE_DIFF_MATRIX[:4] if quick else _CACHE_DIFF_MATRIX
     report = CacheDiffReport()
     for overrides in matrix:
         name = ",".join(f"{k}={v}" for k, v in sorted(overrides.items()))
-        digests = {}
+        digests, nets = {}, {}
         hits = misses = bypasses = 0
         for cache_on in (True, False):
-            params = _sched_params(
+            params = scenario_params(
                 seed, {**overrides, "jobs": jobs,
                        "profile_cache": cache_on},
             )
-            sched = _build_sched(params)
+            sched = build_scheduler(params)
             outcome = sched.run()
             digests[cache_on] = sched_outcome_digest(outcome)
+            nets[cache_on] = outcome.net
             if cache_on:
                 hits = outcome.cache_hits
                 misses = outcome.cache_misses
@@ -218,6 +238,7 @@ def run_cache_differential(seed: int = 2001, jobs: int = 8,
                 cache_hits=hits,
                 cache_misses=misses,
                 cache_bypasses=bypasses,
+                nets=(nets[True], nets[False]),
             )
         )
     return report

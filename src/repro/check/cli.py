@@ -25,6 +25,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from repro.sched.scenario import add_scenario_arguments, scenario_args
+
 
 def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -51,40 +53,8 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
                         help="small fuzz parameter ranges (CI smoke)")
     parser.add_argument("--out", metavar="DIR", default="check_reports",
                         help="directory for divergence/fuzz reports")
-    parser.add_argument("--jobs", type=int, default=8,
-                        help="sched recording: jobs in the stream")
-    parser.add_argument("--policy", default="fcfs",
-                        choices=["fcfs", "backfill", "easy"],
-                        help="sched recording: queue policy")
-    parser.add_argument("--fail-inject", action="store_true",
-                        help="sched recording: inject Poisson failures")
-    parser.add_argument("--checkpoint", type=int, default=0,
-                        help="sched recording: checkpoint every N units")
-    parser.add_argument("--platform", default="metablade",
-                        help="sched recording: registry platform to "
-                             "run on (its content-hash is recorded so "
-                             "replay detects platform drift)")
-    parser.add_argument("--thermal", action="store_true",
-                        help="sched recording: model blade temperatures "
-                             "(lumped-RC network, thermal throttling)")
-    parser.add_argument("--thermal-accel", type=float, default=1.0,
-                        help="sched recording: thermal time-constant "
-                             "compression factor (default 1)")
-    parser.add_argument("--thermal-fail", action="store_true",
-                        help="sched recording: temperature-modulated "
-                             "fault injection (implies --thermal)")
-    parser.add_argument("--no-throttle", action="store_true",
-                        help="sched recording: disable the trip-point "
-                             "frequency clamp (run to the kill point)")
-    parser.add_argument("--net-fault", action="store_true",
-                        help="sched recording: inject seeded link/uplink "
-                             "outages with SimMPI retransmission")
-    parser.add_argument("--net-mtbf", type=float, default=2.0,
-                        help="sched recording: per-link outage MTBF in "
-                             "virtual seconds (default 2.0)")
-    parser.add_argument("--net-mttr", type=float, default=0.002,
-                        help="sched recording: mean outage repair time "
-                             "in virtual seconds (default 0.002)")
+    # The sched recording scenario; --jobs also sizes the diff audits.
+    add_scenario_arguments(parser, jobs=8)
 
 
 def _write_report(out_dir: str, name: str, text: str) -> Path:
@@ -150,17 +120,7 @@ def cmd_check(args) -> int:
     if args.record is not None:
         if args.kind == "sched":
             manifest = record_sched_manifest(
-                seed=args.seed, jobs=args.jobs, policy=args.policy,
-                fail_inject=args.fail_inject,
-                checkpoint=args.checkpoint,
-                platform=getattr(args, "platform", "metablade"),
-                thermal=args.thermal or args.thermal_fail,
-                thermal_accel=args.thermal_accel,
-                thermal_fail=args.thermal_fail,
-                throttle=not args.no_throttle,
-                net_fault=args.net_fault,
-                net_mtbf=args.net_mtbf,
-                net_mttr=args.net_mttr,
+                seed=args.seed, **scenario_args(args)
             )
         elif args.kind == "simmpi":
             manifest = record_simmpi_manifest(seed=args.seed)

@@ -200,13 +200,9 @@ class SchedOracle(Oracle):
         }
 
     def _outcome(self, params: Dict[str, Any], policy: str):
-        from repro.check.replay import _build_sched
+        from repro.sched.scenario import build_scheduler
 
-        build = {k: v for k, v in params.items() if k != "seed"}
-        build["policy"] = policy
-        sched = _build_sched(
-            {**build, "seed": params["seed"]}, audit=True
-        )
+        sched = build_scheduler({**params, "policy": policy}, audit=True)
         return sched.run()
 
     def run(self, params: Dict[str, Any]) -> Optional[str]:

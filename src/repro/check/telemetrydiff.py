@@ -29,7 +29,8 @@ contract is therefore checked the same way, per configuration:
   alone: committed goldens stay byte-identical with telemetry in the
   room.
 - **Bare-run digest** — on configurations where the fast path is
-  ineligible regardless (failure injection, thermal modelling), the
+  ineligible regardless (failure injection, thermal modelling,
+  network faults), the
   instrumented run must also match the completely uninstrumented run
   byte-for-byte: there, telemetry-off and telemetry-on share one code
   path and the equality is absolute.
@@ -42,9 +43,13 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, List, Optional, Tuple
 
-from repro.check.cachediff import manifest_trace_hash, sched_outcome_digest
+from repro.check.cachediff import (
+    manifest_trace_hash,
+    net_mismatch,
+    sched_outcome_digest,
+)
 
 
 @dataclass
@@ -59,6 +64,7 @@ class TelemetryDiffCase:
     outcome_bare: Optional[str]   # uninstrumented run, legacy-path rows
     events_observed: int
     metrics: int
+    nets: Tuple[Optional[Any], ...]     # SchedOutcome.net per run
 
     @property
     def ok(self) -> bool:
@@ -67,6 +73,7 @@ class TelemetryDiffCase:
             and self.trace_on == self.trace_off
             and (self.outcome_bare is None
                  or self.outcome_bare == self.outcome_on)
+            and not net_mismatch(self.nets)
         )
 
 
@@ -93,6 +100,7 @@ class TelemetryDiffReport:
                 f"{c.outcome_on[:12]}/{c.outcome_off[:12]}{bare}, trace "
                 f"{c.trace_on[:12]}/{c.trace_off[:12]} "
                 f"(events={c.events_observed} metrics={c.metrics})"
+                f"{net_mismatch(c.nets)}"
             )
         verdict = "all identical" if self.ok else "MISMATCH FOUND"
         lines.append(f"  => {len(self.cases)} configurations, {verdict}")
@@ -101,8 +109,9 @@ class TelemetryDiffReport:
 
 #: The audit matrix: every event family the span recorder consumes
 #: appears at least once — failures (node-down/up, requeues), thermal
-#: (trips, throttling, overtemp kills), checkpoints, both platforms,
-#: and the profile cache both enabled and disabled.
+#: (trips, throttling, overtemp kills, Arrhenius faults), checkpoints,
+#: link outages and retransmits, both platforms, and the profile cache
+#: both enabled and disabled.
 _TELEMETRY_DIFF_MATRIX = [
     {"policy": "fcfs"},
     {"policy": "backfill", "checkpoint": 2},
@@ -111,30 +120,39 @@ _TELEMETRY_DIFF_MATRIX = [
     {"policy": "fcfs", "platform": "green-destiny-240"},
     {"policy": "backfill", "platform": "green-destiny-240",
      "fail_inject": True, "checkpoint": 1, "profile_cache": False},
+    {"policy": "backfill", "net_fault": True, "net_mtbf": 0.05,
+     "net_mttr": 0.003, "checkpoint": 1},
+    {"policy": "fcfs", "thermal": True, "thermal_fail": True,
+     "thermal_accel": 150.0, "mtbf": 0.03},
 ]
 
 
-def _legacy_path_forced(overrides: dict, outcome) -> bool:
+def _legacy_path_forced(outcome) -> bool:
     """Whether this run bypassed the fast path even uninstrumented.
 
-    Decided from the *bare run's own state*, not the overrides: a
+    Decided from the *bare run's own outcome*, not its parameters: a
     ``fail_inject`` row whose Poisson draw lands zero faults inside
     the horizon never trips the eligibility check and stays on the
     fast path.  These are the triggers
     :meth:`~repro.sched.scheduler.BatchScheduler._fastpath_eligible`
-    reads at dispatch time (pre-run injection bumps
+    reads at dispatch time — thermal modelling, a network fault
+    config, and injected failures (pre-run injection bumps
     ``failures_injected`` before the kernel starts).
     """
-    return bool(overrides.get("thermal")) or outcome.failures_injected > 0
+    return (
+        outcome.thermal is not None
+        or outcome.net is not None
+        or outcome.failures_injected > 0
+    )
 
 
 def _run_instrumented(params, out_dir: str):
     """One fully instrumented run: recorder + spans + ingest + export."""
     from repro.check.manifest import TraceRecorder
-    from repro.check.replay import _build_sched
+    from repro.sched.scenario import build_scheduler
     from repro.telemetry import Telemetry
 
-    sched = _build_sched(params)
+    sched = build_scheduler(params)
     tel = Telemetry()
     tel.attach(sched.kernel)
     with TraceRecorder(sched.kernel) as recorder:
@@ -151,17 +169,17 @@ def run_telemetry_differential(seed: int = 2002, jobs: int = 8,
                                quick: bool = False) -> TelemetryDiffReport:
     """Run the telemetry-on/off matrix and compare all fingerprints."""
     from repro.check.manifest import RunManifest, TraceRecorder
-    from repro.check.replay import _build_sched, _sched_params
+    from repro.sched.scenario import build_scheduler, scenario_params
 
     matrix = _TELEMETRY_DIFF_MATRIX[:3] if quick else _TELEMETRY_DIFF_MATRIX
     report = TelemetryDiffReport()
     for overrides in matrix:
         name = ",".join(f"{k}={v}" for k, v in sorted(overrides.items()))
-        params = _sched_params(seed, {**overrides, "jobs": jobs})
+        params = scenario_params(seed, {**overrides, "jobs": jobs})
 
         # Telemetry-off baseline: the recording observer alone — the
         # exact infrastructure the committed goldens were made with.
-        sched_off = _build_sched(params)
+        sched_off = build_scheduler(params)
         with TraceRecorder(sched_off.kernel) as rec_off:
             outcome_off = sched_off.run()
         digest_off = sched_outcome_digest(outcome_off)
@@ -182,9 +200,11 @@ def run_telemetry_differential(seed: int = 2002, jobs: int = 8,
         # Runs that forced the legacy path anyway compare against the
         # completely uninstrumented run too — absolute equality.
         digest_bare = None
-        bare_outcome = _build_sched(params).run()
-        if _legacy_path_forced(overrides, bare_outcome):
+        nets = (outcome_on.net, outcome_off.net)
+        bare_outcome = build_scheduler(params).run()
+        if _legacy_path_forced(bare_outcome):
             digest_bare = sched_outcome_digest(bare_outcome)
+            nets += (bare_outcome.net,)
 
         report.cases.append(
             TelemetryDiffCase(
@@ -196,6 +216,7 @@ def run_telemetry_differential(seed: int = 2002, jobs: int = 8,
                 outcome_bare=digest_bare,
                 events_observed=tel.spans.events_seen,
                 metrics=len(tel.registry),
+                nets=nets,
             )
         )
     return report

@@ -410,7 +410,7 @@ def experiment_timeline(
     blade temperature joins the extras.  ``thermal_accel`` compresses
     the thermal time constants so a short step shows the effect.
 
-    ``net_fault`` injects a seeded link-outage plan (seed + 3, MTBF
+    ``net_fault`` injects a seeded link-outage plan (MTBF
     ``net_mtbf_s``, repair ``net_mttr_s`` — virtual seconds) and turns
     on the SimMPI reliable-delivery layer: lost frames retransmit with
     timeout/backoff and land on the timeline as ``net-drop`` events,
@@ -481,14 +481,15 @@ def experiment_timeline(
         from repro.network.faults import (
             RetryPolicy, draw_fault_plan, link_resource,
         )
+        from repro.sched.scenario import NET_SEED_OFFSET
 
         resources = [link_resource(r) for r in range(ranks)]
         # The step's length is not known up front; a 1 s horizon covers
         # any single treecode step, and windows past the end are inert
-        # lookups.  Plan seed follows the injector convention (+3).
+        # lookups.
         net_plan = draw_fault_plan(
             resources, horizon_s=1.0, mtbf_s=net_mtbf_s,
-            mttr_s=net_mttr_s, seed=seed + 3,
+            mttr_s=net_mttr_s, seed=seed + NET_SEED_OFFSET,
         )
         attach = getattr(fabric, "attach_faults", None)
         if attach is not None:

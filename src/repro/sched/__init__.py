@@ -23,6 +23,9 @@ defining software of a production Beowulf:
   kill the resident job, which is requeued (optionally from its last
   checkpoint, checkpoint I/O charged) or abandoned after max retries;
 - :mod:`repro.sched.gantt` — the per-blade timeline rendering.
+- :mod:`repro.sched.scenario` — the batch-campaign recipe: one
+  parameter dict (as a manifest records it) to a submitted scheduler,
+  the defaults, the seed convention and the shared CLI flags.
 
 Throughput accounting (jobs/hour, utilization, operational ToPPeR)
 lives in :mod:`repro.metrics.throughput`.  The CLI front end is

@@ -102,3 +102,36 @@ def test_cli_sched_seed_is_deterministic(capsys):
 
     assert sched("3") == sched("3")
     assert sched("3") != sched("4")
+
+
+def test_check_record_rejects_unknown_platform():
+    # Validated at parse time like `sched --platform`, not a KeyError
+    # traceback from the registry.
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--record", "unused.json", "--platform", "bogus"])
+    assert exc.value.code == 2
+
+
+def test_sched_and_check_record_share_scenario_flags():
+    from repro.sched.scenario import scenario_args
+
+    argv = ["--policy", "backfill", "--thermal-fail", "--no-throttle",
+            "--net-fault", "--platform", "green-destiny-240"]
+    sched = scenario_args(build_parser().parse_args(["sched", *argv]))
+    check = scenario_args(
+        build_parser().parse_args(["check", "--record", "m.json", *argv])
+    )
+    assert (sched.pop("jobs"), check.pop("jobs")) == (60, 8)
+    assert sched == check
+    assert sched["thermal"] is True          # --thermal-fail implies it
+    assert sched["throttle"] is False
+
+
+def test_scenario_params_validation():
+    from repro.sched.scenario import DEFAULTS, scenario_params
+
+    assert scenario_params(7, {}) == {**DEFAULTS, "seed": 7}
+    with pytest.raises(ValueError, match="unknown sched parameters"):
+        scenario_params(7, {"bogus": 1})
+    with pytest.raises(ValueError, match="thermal_fail requires"):
+        scenario_params(7, {"thermal_fail": True})

@@ -4,11 +4,7 @@ import pytest
 
 from repro.check import sched_outcome_digest
 from repro.check.cachediff import manifest_trace_hash
-from repro.check.replay import (
-    _build_sched,
-    _sched_params,
-    record_sched_manifest,
-)
+from repro.check.replay import record_sched_manifest
 from repro.platform.registry import platform_by_name
 from repro.sched import (
     BatchScheduler,
@@ -19,6 +15,7 @@ from repro.sched import (
     job_profile_key,
 )
 from repro.sched.profile_cache import JobProfile
+from repro.sched.scenario import build_scheduler, scenario_params
 
 METABLADE = platform_by_name("metablade")
 RACK = platform_by_name("green-destiny-240")
@@ -28,10 +25,10 @@ def run_pair(seed, **overrides):
     """One config run cache-on and cache-off: digests plus outcomes."""
     digests, outcomes = {}, {}
     for cache_on in (True, False):
-        params = _sched_params(
+        params = scenario_params(
             seed, {**overrides, "profile_cache": cache_on}
         )
-        outcome = _build_sched(params).run()
+        outcome = build_scheduler(params).run()
         digests[cache_on] = sched_outcome_digest(outcome)
         outcomes[cache_on] = outcome
     return digests, outcomes

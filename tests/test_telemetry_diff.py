@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 from repro.check import run_telemetry_differential
 from repro.check.cachediff import manifest_trace_hash, sched_outcome_digest
 from repro.check.manifest import RunManifest, TraceRecorder
-from repro.check.replay import _build_sched, _sched_params
+from repro.sched.scenario import build_scheduler, scenario_params
 from repro.telemetry import Telemetry
 
 
 def _fingerprints(params, instrument: bool):
     """(outcome digest, trace hash) of one recorded scheduler run."""
-    sched = _build_sched(params)
+    sched = build_scheduler(params)
     tel = None
     if instrument:
         tel = Telemetry()
@@ -67,7 +67,7 @@ def test_telemetry_never_perturbs_a_run(seed, policy, fail_inject,
         overrides["thermal_accel"] = 150.0
     if fail_inject:
         overrides["checkpoint"] = 1
-    params = _sched_params(seed, overrides)
+    params = scenario_params(seed, overrides)
     digest_off, trace_off = _fingerprints(params, instrument=False)
     digest_on, trace_on = _fingerprints(params, instrument=True)
     assert digest_on == digest_off
@@ -91,3 +91,33 @@ def test_telemetry_differential_report_flags_divergence():
     assert not report.ok
     assert "DIVERGED" in report.format()
     assert "MISMATCH FOUND" in report.format()
+
+
+def test_net_fault_runs_count_as_legacy_path():
+    # A net_fault run always bypasses the fast path, even when it injects
+    # no node failures, so the bare-run comparison must apply to it.
+    from repro.check.telemetrydiff import _legacy_path_forced
+
+    params = scenario_params(
+        2002, {"jobs": 4, "net_fault": True, "net_mtbf": 0.05,
+               "net_mttr": 0.003},
+    )
+    outcome = build_scheduler(params).run()
+    assert outcome.failures_injected == 0
+    assert _legacy_path_forced(outcome)
+
+
+def test_net_ledger_divergence_fails_both_audits():
+    from repro.check import CacheDiffCase, TelemetryDiffCase
+    from repro.sched import NetFaultSummary
+
+    a = NetFaultSummary(windows=3, partitions=1, retransmits=5, drops=0,
+                        reroutes=0)
+    b = NetFaultSummary(windows=3, partitions=1, retransmits=6, drops=0,
+                        reroutes=0)
+    cache = CacheDiffCase("net", "d", "d", "t", "t", 0, 0, 4, nets=(a, b))
+    tel = TelemetryDiffCase("net", "d", "d", "t", "t", "d", 10, 5,
+                            nets=(a, a, b))
+    assert not cache.ok and not tel.ok
+    assert CacheDiffCase("net", "d", "d", "t", "t", 0, 0, 4,
+                         nets=(a, a)).ok
