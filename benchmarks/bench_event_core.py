@@ -10,7 +10,7 @@ Two instruments:
   CMS-tcache situation, where the same job contents recur all day —
   served twice, profile cache on and off.  The run asserts the cache
   delivers at least a 3x wall-clock speedup **and** that the two
-  outcomes are bit-identical (the same digest the ``--cache-diff``
+  outcomes are bit-identical (the same digest the ``check --diff``
   audit uses).
 
 Results land in ``benchmarks/results/BENCH_event_core.json``.

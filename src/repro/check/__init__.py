@@ -19,14 +19,12 @@ This package turns that convention into a checked property:
   compute-time ledger, energy vs PowerModel, allocator busy/down
   interval consistency).  Opt in via ``SchedConfig(audit=True)`` or
   ``SimConfig(audit=True)``.
-- :mod:`repro.check.cachediff` — the profile-cache differential audit
-  behind ``python -m repro.cli check --cache-diff``: a scheduler
-  configuration matrix run cache-on vs cache-off, requiring bit-exact
-  outcome digests and identical trace hashes.
-- :mod:`repro.check.telemetrydiff` — the telemetry differential audit
-  behind ``python -m repro.cli check --telemetry-diff``: the fully
-  instrumented telemetry stack must be byte-indistinguishable from
-  the plain recording observer (outcome digests and trace hashes).
+- :mod:`repro.check.diff` — the scheduler's differential audit
+  behind ``python -m repro.cli check --diff``: each configuration of a
+  scheduler matrix runs bare with the profile cache on and off,
+  recorded with it on and off, and recorded with the full telemetry
+  stack attached, and the outcome digests, trace hashes and net
+  ledgers must agree bit for bit.
 - :mod:`repro.check.fuzz` — the differential fuzz driver behind
   ``python -m repro.cli check --fuzz``: randomized cases through three
   oracles (CMS translator vs golden interpreter, batched vs naive
@@ -44,11 +42,11 @@ from repro.check.auditors import (
     audit_sim_result,
     detach_auditors,
 )
-from repro.check.cachediff import (
-    CacheDiffCase,
-    CacheDiffReport,
+from repro.check.diff import (
+    DiffCase,
+    DiffReport,
     manifest_trace_hash,
-    run_cache_differential,
+    run_differential,
     sched_outcome_digest,
 )
 from repro.check.manifest import RunManifest, TraceRecorder, mutate_event
@@ -70,16 +68,10 @@ from repro.check.fuzz import (
     run_fuzz,
     run_fuzz_case,
 )
-from repro.check.telemetrydiff import (
-    TelemetryDiffCase,
-    TelemetryDiffReport,
-    run_telemetry_differential,
-)
-
 __all__ = [
-    "CacheDiffCase",
-    "CacheDiffReport",
     "ClockOrderAuditor",
+    "DiffCase",
+    "DiffReport",
     "Divergence",
     "FuzzFailure",
     "FuzzReport",
@@ -89,8 +81,6 @@ __all__ = [
     "ReplayReport",
     "RetransmitConservationAuditor",
     "RunManifest",
-    "TelemetryDiffCase",
-    "TelemetryDiffReport",
     "TraceChecker",
     "TraceRecorder",
     "attach_auditors",
@@ -104,9 +94,8 @@ __all__ = [
     "record_simmpi_manifest",
     "record_table2_manifest",
     "replay_manifest",
-    "run_cache_differential",
+    "run_differential",
     "run_fuzz",
-    "run_telemetry_differential",
     "sched_outcome_digest",
     "run_fuzz_case",
     "verify_golden_manifest",

@@ -6,14 +6,12 @@ Modes (mutually exclusive):
 - ``--record PATH``     record a run manifest (``--kind`` picks the
                         recipe: sched | simmpi | table2 | fig3)
 - ``--replay PATH``     replay-verify any saved manifest
-- ``--cache-diff``      profile-cache differential audit: run a
-                        scheduler configuration matrix cache-on vs
-                        cache-off and require bit-identical outcome
-                        digests and trace hashes
-- ``--telemetry-diff``  telemetry differential audit: the fully
-                        instrumented stack (spans + metrics +
-                        exporters) must be byte-indistinguishable
-                        from the plain recording observer
+- ``--diff``            differential audit of the scheduler: every
+                        configuration of a matrix runs bare with the
+                        profile cache on and off, recorded with it on
+                        and off, and recorded with telemetry attached;
+                        outcome digests, trace hashes and net ledgers
+                        must agree bit for bit
 
 Exit status is non-zero on any divergence or fuzz failure, and
 divergence reports are written under ``--out`` so CI can upload them
@@ -36,12 +34,9 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
                       help="record a run manifest to PATH")
     mode.add_argument("--replay", metavar="PATH", default=None,
                       help="replay-verify the manifest at PATH")
-    mode.add_argument("--cache-diff", action="store_true",
-                      help="profile-cache differential audit "
-                           "(cache-on vs cache-off, bit-exact)")
-    mode.add_argument("--telemetry-diff", action="store_true",
-                      help="telemetry differential audit "
-                           "(telemetry-on vs off, bit-exact)")
+    mode.add_argument("--diff", action="store_true",
+                      help="scheduler differential audit (cache on/off x "
+                           "bare/recorded/telemetry, bit-exact)")
     parser.add_argument("--kind", default="sched",
                         choices=["sched", "simmpi", "table2", "fig3"],
                         help="what --record records (default: sched)")
@@ -50,10 +45,10 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cases", type=int, default=None,
                         help="fuzz cases (default: 216 quick, 600 full)")
     parser.add_argument("--quick", action="store_true",
-                        help="small fuzz parameter ranges (CI smoke)")
+                        help="small fuzz ranges / diff matrix (CI smoke)")
     parser.add_argument("--out", metavar="DIR", default="check_reports",
                         help="directory for divergence/fuzz reports")
-    # The sched recording scenario; --jobs also sizes the diff audits.
+    # The sched recording scenario; --jobs also sizes the diff audit.
     add_scenario_arguments(parser, jobs=8)
 
 
@@ -72,32 +67,19 @@ def cmd_check(args) -> int:
         record_simmpi_manifest,
         record_table2_manifest,
         replay_manifest,
-        run_cache_differential,
+        run_differential,
         run_fuzz,
-        run_telemetry_differential,
     )
 
-    if args.telemetry_diff:
-        report = run_telemetry_differential(
+    if args.diff:
+        report = run_differential(
             seed=args.seed, jobs=args.jobs, quick=args.quick,
         )
         print(report.format())
         if not report.ok:
-            path = _write_report(args.out, "telemetry_diff_report.txt",
+            path = _write_report(args.out, "diff_report.txt",
                                  report.format())
-            print(f"telemetry differential report written to {path}")
-            return 1
-        return 0
-
-    if args.cache_diff:
-        report = run_cache_differential(
-            seed=args.seed, jobs=args.jobs, quick=args.quick,
-        )
-        print(report.format())
-        if not report.ok:
-            path = _write_report(args.out, "cache_diff_report.txt",
-                                 report.format())
-            print(f"cache differential report written to {path}")
+            print(f"differential report written to {path}")
             return 1
         return 0
 

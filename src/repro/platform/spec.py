@@ -327,11 +327,6 @@ class PlatformSpec:
             power_kw_override=self.power_kw_override,
         )
 
-    def machine(self):
-        """The :class:`~repro.core.system.BladedBeowulf` wrapper."""
-        from repro.core.system import BladedBeowulf
-        return BladedBeowulf(cluster=self.cluster())
-
     # -- physical denominators (shortcuts into the cluster view) ----------
 
     @property

@@ -14,9 +14,9 @@ Correctness rests on **normalized execution**, not on shifting deltas:
 - An *eligible* job (see ``BatchScheduler._fastpath_eligible``) is
   always simulated in a scratch :class:`~repro.core.events.EventKernel`
   at virtual ``t=0`` — whether the cache is enabled or not.  Its
-  measured :class:`JobProfile` (duration, per-rank clocks, comm stats,
-  checkpoint billing, energy) is then replayed onto the shared clock
-  at dispatch time.
+  measured :class:`JobProfile` (duration, first-rank result, compute
+  and flop totals, checkpoint billing, energy) is then replayed onto
+  the shared clock at dispatch time.
 - The ``enabled`` flag toggles *memoization only*: cache-on and
   cache-off runs execute the identical normalized computation, so
   every outcome field is bit-identical by construction.  (A delta
@@ -25,55 +25,38 @@ Correctness rests on **normalized execution**, not on shifting deltas:
   path never records from the live interleaved timeline.)
 - Anything that can perturb a job mid-flight — tracing observers or
   fire hooks, ``record_timeline``, invariant auditing, injected or
-  thermal failures, thermal throttling/DVFS, a non-cacheable workload
-  — bypasses the fast path entirely and runs on the legacy shared-
-  kernel route.  Committed golden manifests are recorded under a
-  tracing observer, so they take the legacy route on every replay and
-  stay byte-identical with the cache on and off.
+  thermal failures, thermal throttling/DVFS, network faults, a
+  non-cacheable workload — bypasses the fast path and runs the world
+  on the shared kernel.  Both routes open and close attempts, build
+  worlds and bill checkpoints through the same scheduler methods; only
+  the time origin of the world differs.  Committed golden manifests
+  are recorded under a tracing observer, so they take the shared-
+  kernel route on every replay and stay byte-identical with the cache
+  on and off.  ``check --diff`` audits all of this per configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
-
-from repro.simmpi.trace import CommStats
-
-#: Cache-key token for the attempt's frequency plan.  Fast-path jobs
-#: always run unthrottled at the platform's nominal rate (a DVFS
-#: governor forces a bypass), so the token is a constant — kept in the
-#: key so a future governed fast path cannot silently collide.
-NOMINAL_FREQUENCY_PLAN: Tuple[str, ...] = ("nominal",)
 
 
 @dataclass(frozen=True)
 class JobProfile:
     """The recorded outcome delta of one normalized job execution.
 
-    All times are relative to the job's virtual start (the scratch
-    world ran at ``t=0``); the scheduler adds its dispatch time when
-    replaying.  ``stats`` holds per-rank :class:`CommStats` snapshots —
-    frozen copies, never the live objects of the measuring world.
+    Every field is what replay adds to the job's record; times are
+    relative to the job's virtual start (the scratch world ran at
+    ``t=0``), and the scheduler adds its dispatch time when replaying.
     """
 
     elapsed_s: float
-    clocks: Tuple[float, ...]
     result0: Any
     compute_s: float
     flops: float
     energy_j: float
     checkpoints: int
     checkpoint_io_s: float
-    stats: Tuple[CommStats, ...] = ()
-    resumptions: int = 0
-
-    @property
-    def messages(self) -> int:
-        return sum(s.sends for s in self.stats)
-
-    @property
-    def bytes_sent(self) -> int:
-        return sum(s.bytes_sent for s in self.stats)
 
 
 def job_profile_key(spec, platform, blades: Sequence[int], config,
@@ -93,8 +76,10 @@ def job_profile_key(spec, platform, blades: Sequence[int], config,
       so it is part of the identity (star/ideal fabrics are placement-
       invariant and contribute a constant);
     - the checkpoint plan (cadence, latency, bandwidth), which stalls
-      rank clocks mid-run;
-    - the frequency plan (constant: governed attempts bypass).
+      rank clocks mid-run.
+
+    There is no frequency plan: a DVFS or throttle governor forces the
+    shared-kernel route, so every fast-path job runs at the nominal rate.
 
     ``arrival_s``, ``walltime_est_s`` and ``job_id`` are deliberately
     absent — they steer queueing, not execution.
@@ -117,7 +102,6 @@ def job_profile_key(spec, platform, blades: Sequence[int], config,
         placement,
         (config.checkpoint_every, config.checkpoint_latency_s,
          config.checkpoint_bandwidth_bps),
-        NOMINAL_FREQUENCY_PLAN,
     )
 
 
@@ -128,7 +112,7 @@ class ProfileCache:
     ``enabled=False`` turns the store off but keeps the counters: every
     eligible dispatch then counts as a miss (it runs the normalized
     simulation and discards nothing — there is simply nothing to reuse),
-    and ``bypasses`` counts attempts routed down the legacy path.
+    and ``bypasses`` counts attempts routed to the shared kernel.
     """
 
     enabled: bool = True
@@ -149,16 +133,6 @@ class ProfileCache:
     def put(self, key: Tuple[Any, ...], profile: JobProfile) -> None:
         if self.enabled:
             self._store[key] = profile
-
-    def replayed_stats(self, profile: JobProfile) -> Tuple[CommStats, ...]:
-        """Fresh per-rank stats copies (callers may mutate them)."""
-        return tuple(replace(s) for s in profile.stats)
-
-    def invalidate(self) -> int:
-        """Drop every stored profile; returns how many were evicted."""
-        evicted = len(self._store)
-        self._store.clear()
-        return evicted
 
     def __len__(self) -> int:
         return len(self._store)

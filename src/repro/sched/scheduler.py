@@ -21,6 +21,12 @@ retries.  All of it lands in the per-job :class:`JobRecord` ledger
 and the allocator's blade intervals, which together feed
 :mod:`repro.metrics.throughput`.
 
+Jobs that nothing can observe or perturb skip the shared clock: the
+profile-cache fast path runs their world on a scratch kernel at
+``t=0`` (or replays a cached profile) and schedules only the finish.
+Both routes open and close attempts, build worlds and bill
+checkpoints through the same methods below.
+
 A compromise worth knowing about: SimMPI rank clocks may run ahead of
 the kernel clock between message events (compute time is billed
 lazily).  The dispatcher therefore defers each job's completion to
@@ -35,12 +41,11 @@ import random
 from bisect import insort
 
 import numpy as np
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.management import EventKind, ManagementEvent, ManagementHub
 from repro.core.events import EventKernel
-from repro.core.system import BladedBeowulf
 from repro.network.faults import (
     FaultTimeline,
     FaultWindow,
@@ -180,7 +185,7 @@ class SchedOutcome:
     #: was given (the default), so legacy outcomes are unchanged.
     net: Optional[NetFaultSummary] = None
     #: Profile-cache accounting: dispatches served from cache, measured
-    #: normalized runs, and attempts routed down the legacy path.
+    #: normalized runs, and attempts run on the shared kernel.
     cache_hits: int = 0
     cache_misses: int = 0
     cache_bypasses: int = 0
@@ -233,36 +238,24 @@ class BatchScheduler:
     :class:`~repro.platform.spec.PlatformSpec`: node count, per-node
     compute rate, power model, packaging, and — crucially — the fabric
     each job's SimMPI world runs on (MetaBlade's star or Green
-    Destiny's chassis-behind-aggregation rack network, per the spec).
-    ``machine`` remains accepted for back-compatibility and is adapted
-    into a star-fabric platform; passing both is an error.
+    Destiny's chassis-behind-aggregation rack network, per the spec);
+    MetaBlade when none is given.
     """
 
-    def __init__(self, machine: Optional[BladedBeowulf] = None,
-                 policy: Optional[Policy] = None,
+    def __init__(self, policy: Optional[Policy] = None,
                  config: Optional[SchedConfig] = None,
-                 kernel: Optional[EventKernel] = None,
                  record_timeline: bool = False,
                  platform=None,
                  net_fault: Optional[NetFaultConfig] = None) -> None:
         from repro.sched.policy import Fcfs
 
-        if platform is not None and machine is not None:
-            raise ValueError("pass either platform= or machine=, not both")
         if platform is None:
-            if machine is None:
-                from repro.platform.registry import METABLADE_PLATFORM
-                platform = METABLADE_PLATFORM
-            else:
-                from repro.platform.spec import PlatformSpec
-                platform = PlatformSpec.for_cluster(machine.cluster)
+            from repro.platform.registry import METABLADE_PLATFORM
+            platform = METABLADE_PLATFORM
         self.platform = platform
-        self.machine = machine if machine is not None else platform.machine()
         self.policy = policy if policy is not None else Fcfs()
         self.config = config if config is not None else SchedConfig()
-        self.kernel = kernel if kernel is not None else EventKernel(
-            record_timeline=record_timeline
-        )
+        self.kernel = EventKernel(record_timeline=record_timeline)
         self.nodes = platform.nodes
         self.flop_rate = platform.node_flop_rate()
         self.allocator = platform.build_allocator()
@@ -555,15 +548,15 @@ class BatchScheduler:
             return None
         return self.thermal.coolest_first(now)
 
-    # -- the profile-cache fast path ---------------------------------------
+    # -- attempts: one lifecycle, two routes ---------------------------------
 
     def _fastpath_eligible(self, record: JobRecord) -> bool:
         """Whether this dispatch may take the normalized fast path.
 
         Every condition here is an *invalidation trigger* of the
         profile cache: anything that can observe or perturb the job
-        mid-flight forces the legacy shared-kernel route, where the
-        behaviour is identical to the pre-cache scheduler.
+        mid-flight forces the shared-kernel route, where the behaviour
+        is identical to the pre-cache scheduler.
         """
         if self.config.audit or self.thermal is not None:
             return False                 # auditors / thermal throttling
@@ -580,139 +573,13 @@ class BatchScheduler:
             return False                 # defensive: never a fresh start
         return True
 
-    def _start_fast(self, entry: _QueueEntry, now: float) -> None:
-        """Dispatch an eligible job without touching the shared kernel.
-
-        The job's world runs (or replays) in a scratch kernel at
-        ``t=0``; the shared clock sees exactly one event — the finish
-        at ``now + elapsed`` — so a 10k-job campaign schedules O(jobs)
-        shared events instead of O(messages).
-        """
-        record = entry.record
-        spec = record.spec
-        blades = self.allocator.allocate(spec.job_id, spec.nodes, now)
-        record.wait_s += now - entry.ready_s
-        attempt = Attempt(start_s=now, start_unit=0)
-        record.attempts.append(attempt)
-        record.state = JobState.RUNNING
-        if self._platform_hash is None:
-            self._platform_hash = self.platform.content_hash()
-        key = job_profile_key(
-            spec, self.platform, blades, self.config,
-            platform_hash=self._platform_hash,
-        )
-        profile = self.profile_cache.get(key)
-        if profile is None:
-            profile = self._profile_job(spec, blades)
-            self.profile_cache.put(key, profile)
-        running = _RunningJob(
-            record=record, runtime=None, blades=blades, attempt=attempt
-        )
-        self._running[spec.job_id] = running
-        self.kernel.at(
-            now + profile.elapsed_s, self._finish_fast, running, profile
-        )
-
-    def _profile_job(self, spec: JobSpec,
-                     blades: Tuple[int, ...]) -> JobProfile:
-        """Measure one job in a scratch world at virtual ``t=0``.
-
-        This is the normalized execution both cache states share: the
-        world is simulated on a private kernel with the same fabric
-        (placed on the actually-allocated blades), flop rate and
-        checkpoint billing as the legacy path — only the time origin
-        differs, which is what makes the profile reusable.
-        """
-        kernel = EventKernel()
-        runtime = SimMpiRuntime(
-            spec.nodes,
-            fabric=self.platform.build_fabric(spec.nodes, blades=blades),
-            flop_rate=self.flop_rate,
-            kernel=kernel,
-        )
-        workload = spec.workload
-        every = self.config.checkpoint_every
-        checkpoint_io = [0.0]
-        checkpoints = [0]
-        pending: Dict[int, set] = {}
-
-        def on_unit(comm, unit: int, state: Any) -> None:
-            # Mirrors _on_unit's billing exactly: the I/O stall shapes
-            # the rank clocks (hence the profile's duration), and the
-            # counters land on the record at replay.  The states are
-            # not kept — a fast-path job can never be killed, so no
-            # restore point is ever read.
-            done = unit + 1
-            if (
-                every is None or state is None or not workload.checkpointable
-                or done >= workload.units or done % every
-            ):
-                return
-            io_s = self.config.checkpoint_io_s(_payload_nbytes(state))
-            comm.stall(io_s)
-            checkpoint_io[0] += io_s
-            ranks = pending.setdefault(done, set())
-            ranks.add(comm.rank)
-            if len(ranks) == spec.nodes:
-                checkpoints[0] += 1
-                del pending[done]
-
-        ctx = JobContext(start_unit=0, states=None, on_unit=on_unit)
-        program = workload.make_program(self.flop_rate, spec.nodes, ctx)
-        done_results: List[Any] = []
-        runtime.launch(
-            program, start_time=0.0, on_complete=done_results.append
-        )
-        kernel.run()
-        if not done_results:
-            blocked = [
-                r for r, t in enumerate(runtime._tasks or []) if t.alive
-            ]
-            raise runtime._deadlock_error(blocked)
-        result = done_results[0]
-        return JobProfile(
-            elapsed_s=result.elapsed_s,
-            clocks=result.clocks,
-            result0=result.results[0] if result.results else None,
-            compute_s=sum(s.compute_s for s in result.stats),
-            flops=sum(s.flops for s in result.stats),
-            energy_j=spec.nodes * self.power.energy_joules(result.elapsed_s),
-            checkpoints=checkpoints[0],
-            checkpoint_io_s=checkpoint_io[0],
-            stats=tuple(replace(s) for s in result.stats),
-            resumptions=result.resumptions,
-        )
-
-    def _finish_fast(self, running: _RunningJob,
-                     profile: JobProfile) -> None:
-        """Settle a fast-path job: replay its profile onto the ledger."""
-        now = self.kernel.now
-        record = running.record
-        spec = record.spec
-        self._running.pop(spec.job_id, None)
-        self.allocator.release(spec.job_id, now)
-        running.attempt.end_s = now
-        record.state = JobState.COMPLETED
-        record.end_s = now
-        result0 = profile.result0
-        if isinstance(result0, np.ndarray):
-            # Replayed records must not alias one shared array.
-            result0 = result0.copy()
-        record.result = result0
-        record.energy_j += profile.energy_j
-        record.compute_s += profile.compute_s
-        record.flops += profile.flops
-        record.checkpoints += profile.checkpoints
-        record.checkpoint_io_s += profile.checkpoint_io_s
-        self._dispatch()
-
-    # -- the legacy (shared-kernel) dispatch path ---------------------------
-
     def _start(self, entry: _QueueEntry, now: float) -> None:
-        if self._fastpath_eligible(entry.record):
-            self._start_fast(entry, now)
-            return
-        self.profile_cache.bypasses += 1
+        """Open an attempt, then run its world on one of two routes.
+
+        The fast path (:meth:`_start_fast`) settles the job from a
+        normalized profile; every other attempt launches its world on
+        the shared kernel here.
+        """
         record = entry.record
         spec = record.spec
         blades = self.allocator.allocate(
@@ -723,6 +590,14 @@ class BatchScheduler:
         attempt = Attempt(start_s=now, start_unit=start_unit)
         record.attempts.append(attempt)
         record.state = JobState.RUNNING
+        running = _RunningJob(
+            record=record, runtime=None, blades=blades, attempt=attempt
+        )
+        self._running[spec.job_id] = running
+        if self._fastpath_eligible(record):
+            self._start_fast(running, now)
+            return
+        self.profile_cache.bypasses += 1
         # Thermal planning happens *here*, at the attempt-start event:
         # every transition of the attempt (trip clamp, kill) is solved
         # and inserted before any rank of the job resumes, so lazily
@@ -740,34 +615,9 @@ class BatchScheduler:
                 governor.clamp_at(
                     plan.trip_at_s, self.thermal.spec.throttle_scale
                 )
-        # The job's world runs on the platform's declared fabric, its
-        # endpoints placed into the chassis of the blades it was
-        # actually allocated (matters on multi-level rack fabrics).
-        fabric = self.platform.build_fabric(spec.nodes, blades=blades)
-        if self._net_timeline is not None:
-            # Endpoint i of this job is cluster blade blades[i]: frame
-            # fate resolves against the cluster-level fault timeline.
-            attach = getattr(fabric, "attach_faults", None)
-            if attach is not None:
-                attach(
-                    self._net_timeline,
-                    resources=[link_resource(b) for b in blades],
-                )
-        runtime = SimMpiRuntime(
-            spec.nodes,
-            fabric=fabric,
-            flop_rate=self.flop_rate,
-            kernel=self.kernel,
-            governor=governor,
-            net_fault=(
-                self.net_fault.policy if self.net_fault is not None
-                else None
-            ),
+        running.runtime = self._build_world(
+            spec, blades, self.kernel, governor=governor
         )
-        running = _RunningJob(
-            record=record, runtime=runtime, blades=blades, attempt=attempt
-        )
-        self._running[spec.job_id] = running
         if plan is not None:
             if plan.trip_at_s is not None:
                 running.thermal_events.append(
@@ -789,11 +639,158 @@ class BatchScheduler:
             "job-start", job=spec.job_id, nodes=spec.nodes,
             blades=",".join(str(b) for b in blades), unit=start_unit,
         )
-        runtime.launch(
+        running.runtime.launch(
             program,
             start_time=now,
             on_complete=lambda result: self._world_done(running, result),
         )
+
+    def _build_world(self, spec: JobSpec, blades: Tuple[int, ...],
+                     kernel: EventKernel,
+                     governor: Optional[Any] = None) -> SimMpiRuntime:
+        """The job's SimMPI world on the platform's declared fabric.
+
+        Endpoint *i* is placed on cluster blade ``blades[i]`` (this
+        matters on multi-level rack fabrics), and under a network fault
+        campaign its frames resolve against the cluster-level timeline.
+        """
+        fabric = self.platform.build_fabric(spec.nodes, blades=blades)
+        if self._net_timeline is not None:
+            attach = getattr(fabric, "attach_faults", None)
+            if attach is not None:
+                attach(
+                    self._net_timeline,
+                    resources=[link_resource(b) for b in blades],
+                )
+        return SimMpiRuntime(
+            spec.nodes,
+            fabric=fabric,
+            flop_rate=self.flop_rate,
+            kernel=kernel,
+            governor=governor,
+            net_fault=(
+                self.net_fault.policy if self.net_fault is not None
+                else None
+            ),
+        )
+
+    def _close_attempt(self, running: _RunningJob, now: float) -> None:
+        """The attempt ends: the job leaves the machine, blades free up."""
+        self._running.pop(running.record.spec.job_id, None)
+        self.allocator.release(running.record.spec.job_id, now)
+        running.attempt.end_s = now
+
+    def _complete(self, record: JobRecord, now: float, result0: Any,
+                  compute_s: float, flops: float) -> None:
+        """The job finished: its record takes the world's result."""
+        record.state = JobState.COMPLETED
+        record.end_s = now
+        record.result = result0
+        record.compute_s += compute_s
+        record.flops += flops
+        self._checkpoints.pop(record.spec.job_id, None)
+        self.kernel.trace("job-complete", job=record.spec.job_id)
+
+    # -- the profile-cache fast path ---------------------------------------
+
+    def _start_fast(self, running: _RunningJob, now: float) -> None:
+        """Settle an eligible attempt without touching the shared kernel.
+
+        The job's world runs (or replays) in a scratch kernel at
+        ``t=0``; the shared clock sees exactly one event — the finish
+        at ``now + elapsed`` — so a 10k-job campaign schedules O(jobs)
+        shared events instead of O(messages).
+        """
+        spec = running.record.spec
+        if self._platform_hash is None:
+            self._platform_hash = self.platform.content_hash()
+        key = job_profile_key(
+            spec, self.platform, running.blades, self.config,
+            platform_hash=self._platform_hash,
+        )
+        profile = self.profile_cache.get(key)
+        if profile is None:
+            profile = self._profile_job(spec, running.blades)
+            self.profile_cache.put(key, profile)
+        self.kernel.at(
+            now + profile.elapsed_s, self._finish_fast, running, profile
+        )
+
+    def _profile_job(self, spec: JobSpec,
+                     blades: Tuple[int, ...]) -> JobProfile:
+        """Measure one job in a scratch world at virtual ``t=0``.
+
+        This is the normalized execution both cache states share: the
+        world is simulated on a private kernel with the same fabric
+        (placed on the actually-allocated blades), flop rate and
+        checkpoint billing as the shared-kernel route — only the time
+        origin differs, which is what makes the profile reusable.
+        """
+        kernel = EventKernel()
+        runtime = self._build_world(spec, blades, kernel)
+        checkpoint_io = [0.0]
+        checkpoints = [0]
+        pending: Dict[int, set] = {}
+
+        def on_unit(comm, unit: int, state: Any) -> None:
+            # Bills exactly like _on_unit: the I/O stall shapes the rank
+            # clocks (hence the profile's duration), and the counters
+            # land on the record at replay.  The states are not kept —
+            # a fast-path job can never be killed, so no restore point
+            # is ever read.
+            io_s = self._checkpoint_io_s(spec, unit, state)
+            if io_s is None:
+                return
+            comm.stall(io_s)
+            checkpoint_io[0] += io_s
+            ranks = pending.setdefault(unit + 1, set())
+            ranks.add(comm.rank)
+            if len(ranks) == spec.nodes:
+                checkpoints[0] += 1
+                del pending[unit + 1]
+
+        ctx = JobContext(start_unit=0, states=None, on_unit=on_unit)
+        program = spec.workload.make_program(self.flop_rate, spec.nodes, ctx)
+        done_results: List[Any] = []
+        runtime.launch(
+            program, start_time=0.0, on_complete=done_results.append
+        )
+        kernel.run()
+        if not done_results:
+            blocked = [
+                r for r, t in enumerate(runtime._tasks or []) if t.alive
+            ]
+            raise runtime._deadlock_error(blocked)
+        result = done_results[0]
+        return JobProfile(
+            elapsed_s=result.elapsed_s,
+            result0=result.results[0] if result.results else None,
+            compute_s=sum(s.compute_s for s in result.stats),
+            flops=sum(s.flops for s in result.stats),
+            energy_j=spec.nodes * self.power.energy_joules(result.elapsed_s),
+            checkpoints=checkpoints[0],
+            checkpoint_io_s=checkpoint_io[0],
+        )
+
+    def _finish_fast(self, running: _RunningJob,
+                     profile: JobProfile) -> None:
+        """Settle a fast-path job: replay its profile onto the ledger."""
+        now = self.kernel.now
+        record = running.record
+        self._close_attempt(running, now)
+        result0 = profile.result0
+        if isinstance(result0, np.ndarray):
+            # Replayed records must not alias one shared array.
+            result0 = result0.copy()
+        self._complete(
+            record, now, result0, profile.compute_s, profile.flops
+        )
+        record.energy_j += profile.energy_j
+        record.checkpoints += profile.checkpoints
+        record.checkpoint_io_s += profile.checkpoint_io_s
+        self._dispatch()
+
+    # -- the shared-kernel route --------------------------------------------
 
     def _world_done(self, running: _RunningJob, result) -> None:
         """The job's world finalized; settle at its *virtual* end time.
@@ -813,19 +810,16 @@ class BatchScheduler:
         now = self.kernel.now
         record = running.record
         spec = record.spec
-        self._running.pop(spec.job_id, None)
-        self.allocator.release(spec.job_id, now)
-        running.attempt.end_s = now
+        self._close_attempt(running, now)
         duration = now - running.attempt.start_s
         if self.net_fault is not None:
             self._net_retransmits += sum(
                 s.retransmits for s in result.stats
             )
             self._net_drops += sum(s.drops for s in result.stats)
-            if running.runtime is not None:
-                self._net_reroutes += getattr(
-                    running.runtime.fabric, "reroutes", 0
-                )
+            self._net_reroutes += getattr(
+                running.runtime.fabric, "reroutes", 0
+            )
             if running.killed_at is None and result.failed_ranks:
                 # A rank died of retry exhaustion (LinkDownError)
                 # without any node-failure kill: the partition tore the
@@ -841,13 +835,12 @@ class BatchScheduler:
         else:
             record.energy_j += spec.nodes * self.power.energy_joules(duration)
         if running.killed_at is None:
-            record.state = JobState.COMPLETED
-            record.end_s = now
-            record.result = result.results[0] if result.results else None
-            record.compute_s += sum(s.compute_s for s in result.stats)
-            record.flops += sum(s.flops for s in result.stats)
-            self._checkpoints.pop(spec.job_id, None)
-            self.kernel.trace("job-complete", job=spec.job_id)
+            self._complete(
+                record, now,
+                result.results[0] if result.results else None,
+                sum(s.compute_s for s in result.stats),
+                sum(s.flops for s in result.stats),
+            )
         else:
             self._settle_kill(running, now)
         self._dispatch()
@@ -884,7 +877,10 @@ class BatchScheduler:
                 unit=self._restore_point(spec.job_id)[0],
             )
 
-    def _node_fail(self, blade: int, detail: str) -> None:
+    # -- faults ---------------------------------------------------------------
+
+    def _blade_down(self, blade: int, detail: str) -> None:
+        """The hub logs the fault and the blade leaves the free pool."""
         now = self.kernel.now
         time_h = now / 3600.0
         self.hub.record(ManagementEvent(time_h, EventKind.FAILURE, blade, detail))
@@ -894,32 +890,42 @@ class BatchScheduler:
                 EventKind.DETECTED, blade, detail,
             )
         )
-        self.kernel.trace("node-down", node=blade, detail=detail)
-        job_id = self.allocator.job_on(blade)
         self.allocator.mark_down(blade, now, detail)
-        self.kernel.at(now + self.config.repair_s, self._node_repair, blade)
-        if job_id is None:
-            return
-        running = self._running.get(job_id)
+
+    def _kill_resident(self, blade: int, detail: str) -> bool:
+        """Kill the job holding *blade*; whether its world died here.
+
+        Nothing dies when the blade is idle, its job was already
+        killed, or the job's world had already finalized (its last
+        event fired at or before now).
+        """
+        running = self._running.get(self.allocator.job_on(blade))
         if running is None or running.killed_at is not None:
-            return
+            return False
         if running.runtime is None:
-            # Unreachable by construction: any failure injection bumps
-            # failures_injected before the kernel runs, which disables
-            # fast-path eligibility for every subsequent dispatch.
+            # Unreachable by construction: failure injection, thermal
+            # modelling and net faults each disable fast-path
+            # eligibility before the kernel runs.
             raise RuntimeError(
-                f"failure injected into fast-path job {job_id}; "
+                f"{detail} hit fast-path job {running.record.spec.job_id}; "
                 "profile-cache eligibility is stale"
             )
+        now = self.kernel.now
         victim_rank = running.blades.index(blade)
-        killed = running.runtime.kill_all(victim_rank, now, detail=detail)
-        if killed == 0:
-            # The world already finalized (its last event fired at or
-            # before now); the job completed before the blade died.
-            return
+        if running.runtime.kill_all(victim_rank, now, detail=detail) == 0:
+            return False
         running.killed_at = now
         running.killed_by_blade = blade
         running.record.failures += 1
+        return True
+
+    def _node_fail(self, blade: int, detail: str) -> None:
+        self.kernel.trace("node-down", node=blade, detail=detail)
+        self._blade_down(blade, detail)
+        self.kernel.at(
+            self.kernel.now + self.config.repair_s, self._node_repair, blade
+        )
+        self._kill_resident(blade, detail)
 
     def _node_repair(self, blade: int) -> None:
         self.allocator.mark_up(blade, self.kernel.now)
@@ -940,7 +946,6 @@ class BatchScheduler:
         windows never kill — the rack fabric reroutes over the backup
         path at degraded bandwidth.
         """
-        now = self.kernel.now
         self.kernel.trace(
             "net-down", resource=window.resource, until=window.end_s
         )
@@ -950,39 +955,8 @@ class BatchScheduler:
         if window.duration_s <= self.net_fault.policy.ride_through_s:
             return
         self._net_partitions += 1
-        detail = "link partition"
-        time_h = now / 3600.0
-        self.hub.record(
-            ManagementEvent(time_h, EventKind.FAILURE, blade, detail)
-        )
-        self.hub.record(
-            ManagementEvent(
-                time_h + self.hub.detection_latency_h,
-                EventKind.DETECTED, blade, detail,
-            )
-        )
-        job_id = self.allocator.job_on(blade)
-        self.allocator.mark_down(blade, now, detail)
-        if job_id is None:
-            return
-        running = self._running.get(job_id)
-        if running is None or running.killed_at is not None:
-            return
-        if running.runtime is None:
-            # Unreachable by construction: a net_fault config disables
-            # fast-path eligibility for every dispatch.
-            raise RuntimeError(
-                f"net fault hit fast-path job {job_id}; "
-                "profile-cache eligibility is stale"
-            )
-        victim_rank = running.blades.index(blade)
-        killed = running.runtime.kill_all(victim_rank, now, detail=detail)
-        if killed == 0:
-            # The world already finalized; the job beat the outage.
-            return
-        running.killed_at = now
-        running.killed_by_blade = blade
-        running.record.failures += 1
+        self._blade_down(blade, "link partition")
+        self._kill_resident(blade, "link partition")
 
     def _net_window_end(self, window: FaultWindow) -> None:
         """The outage repairs: partitioned blades rejoin the pool."""
@@ -1027,28 +1001,13 @@ class BatchScheduler:
             running.blades,
             key=lambda b: (self.thermal.temperature(b, now), -b),
         )
-        victim_rank = running.blades.index(victim)
-        killed = running.runtime.kill_all(victim_rank, now, detail="overtemp")
-        if killed == 0:
+        if not self._kill_resident(victim, "overtemp"):
             # The world already finalized at or before now: the job
             # beat its kill time, and its blades are about to go idle.
             return
-        running.killed_at = now
-        running.killed_by_blade = victim
         running.overtemp = True
-        running.record.failures += 1
         self._overtemp_kills += 1
-        time_h = now / 3600.0
-        self.hub.record(
-            ManagementEvent(time_h, EventKind.FAILURE, victim, "overtemp")
-        )
-        self.hub.record(
-            ManagementEvent(
-                time_h + self.hub.detection_latency_h,
-                EventKind.DETECTED, victim, "overtemp",
-            )
-        )
-        self.allocator.mark_down(victim, now, "overtemp")
+        self._blade_down(victim, "overtemp")
         self.kernel.trace("overtemp-kill", job=job_id, node=victim)
 
     def _end_attempt_thermal(self, running: _RunningJob, now: float) -> None:
@@ -1097,21 +1056,29 @@ class BatchScheduler:
         unit, states, _clock = max(checkpoints, key=lambda c: c[0])
         return unit, states
 
-    def _on_unit(self, running: _RunningJob, comm, unit: int,
-                 state: Any) -> None:
-        record = running.record
-        spec = record.spec
-        workload = spec.workload
+    def _checkpoint_io_s(self, spec: JobSpec, unit: int,
+                         state: Any) -> Optional[float]:
+        """I/O seconds of the checkpoint due after *unit*, or ``None``."""
         every = self.config.checkpoint_every
+        workload = spec.workload
         done = unit + 1
         if (
             every is None or state is None or not workload.checkpointable
             or done >= workload.units or done % every
         ):
+            return None
+        return self.config.checkpoint_io_s(_payload_nbytes(state))
+
+    def _on_unit(self, running: _RunningJob, comm, unit: int,
+                 state: Any) -> None:
+        record = running.record
+        spec = record.spec
+        io_s = self._checkpoint_io_s(spec, unit, state)
+        if io_s is None:
             return
-        io_s = self.config.checkpoint_io_s(_payload_nbytes(state))
         comm.stall(io_s)
         record.checkpoint_io_s += io_s
+        done = unit + 1
         pending = running.pending.setdefault(done, {})
         pending[comm.rank] = (state, comm.clock)
         if len(pending) < spec.nodes:

@@ -16,12 +16,12 @@ the event kernel:
 - :mod:`repro.telemetry.ingest` — fold a run's native stats objects
   (SchedOutcome, RunResult, TraversalStats...) into the registry.
 
-The determinism contract (enforced by ``check --telemetry-diff``):
+The determinism contract (enforced by ``check --diff``):
 telemetry is **observer-only**.  With telemetry off, not one
 instruction changes anywhere (there is no telemetry code on any hot
 path — the :class:`Telemetry` handle only ever attaches through the
 kernel's existing observer API).  With telemetry on, the observer
-forces the profile cache's legacy path — exactly like manifest
+forces the profile cache's shared-kernel route — exactly like manifest
 recording — and every outcome digest, golden manifest and bench
 digest stays byte-identical.
 """

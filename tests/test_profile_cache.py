@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.check import sched_outcome_digest
-from repro.check.cachediff import manifest_trace_hash
+from repro.check import manifest_trace_hash, sched_outcome_digest
 from repro.check.replay import record_sched_manifest
 from repro.platform.registry import platform_by_name
 from repro.sched import (
@@ -105,6 +104,35 @@ def test_manifest_trace_hash_is_cache_agnostic(overrides):
         # Recording attaches an observer: the whole stream bypasses.
         assert manifest.params["profile_cache"] is cache_on
     assert hashes[True] == hashes[False]
+
+
+#: ``sched_outcome_digest`` of fast-path scenarios at 40 jobs, seed 2001.
+#: Cache-on/off comparisons only check the normalized route against
+#: itself; these literals pin its float arithmetic across refactors.
+NORMALIZED_ROUTE_DIGESTS = [
+    ({"policy": "fcfs"},
+     "6946551939b23186f88dc3de0d05abc28b46335c8d04a6ced1fd75c62b3a09f8"),
+    ({"policy": "backfill"},
+     "2e07af507a1526fa8498df5edc9f4755cf8038553efe24511a939b74f7a9cbfe"),
+    ({"policy": "easy"},
+     "2e07af507a1526fa8498df5edc9f4755cf8038553efe24511a939b74f7a9cbfe"),
+    ({"policy": "backfill", "checkpoint": 2},
+     "b8855caabdc5b685ee8b5294de956a77fe075ea1f90914a624e4474a9634c52b"),
+    ({"policy": "fcfs", "platform": "green-destiny-240"},
+     "1347f7f1593f9610bc0abfc4cfc2068b2e8ac5a3c5a1a4ee15ebbb980e897879"),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides,digest", NORMALIZED_ROUTE_DIGESTS,
+    ids=[_sweep_id(o) for o, _ in NORMALIZED_ROUTE_DIGESTS],
+)
+def test_normalized_route_digest_is_pinned(overrides, digest):
+    params = scenario_params(2001, {**overrides, "jobs": 40})
+    outcome = build_scheduler(params).run()
+    assert outcome.cache_bypasses == 0
+    assert outcome.cache_hits > 0
+    assert sched_outcome_digest(outcome) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +275,17 @@ def test_key_rack_fabric_sees_chassis_grouping():
 
 def _profile():
     return JobProfile(
-        elapsed_s=1.0, clocks=(1.0, 1.0), result0=0.0, compute_s=0.5,
+        elapsed_s=1.0, result0=0.0, compute_s=0.5,
         flops=1e6, energy_j=2.0, checkpoints=0, checkpoint_io_s=0.0,
     )
 
 
-def test_cache_store_counters_and_invalidate():
+def test_cache_store_counters():
     cache = ProfileCache()
     assert cache.get(("k",)) is None and cache.misses == 1
     cache.put(("k",), _profile())
     assert cache.get(("k",)) is not None and cache.hits == 1
     assert len(cache) == 1
-    assert cache.invalidate() == 1
-    assert len(cache) == 0
 
 
 def test_disabled_cache_never_stores_or_hits():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.system import BladedBeowulf
 from repro.metrics.throughput import throughput_report
+from repro.platform.registry import METABLADE_PLATFORM
 from repro.sched import (
     BatchScheduler,
     BladeAllocator,
@@ -27,7 +28,7 @@ RATE = MACHINE.node_flop_rate()
 
 def make_sched(policy=None, config=None):
     return BatchScheduler(
-        machine=MACHINE,
+        platform=METABLADE_PLATFORM,
         policy=policy if policy is not None else Fcfs(),
         config=config,
     )
