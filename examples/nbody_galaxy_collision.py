@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from repro.core import BladedBeowulf
+from repro.platform import METABLADE_PLATFORM
 from repro.nbody.sim import (
     NBodySimulation,
     SimConfig,
@@ -37,7 +37,7 @@ def main(n: int = 5000) -> None:
     print(ascii_render(image))
     print()
 
-    machine = BladedBeowulf.metablade()
+    machine = METABLADE_PLATFORM
     rate = machine.sustained_gflops() * 1e9
     print(f"interactions ledger : {result.total_flops:.3e} flops")
     for record in result.records:

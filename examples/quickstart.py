@@ -9,15 +9,15 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    BladedBeowulf,
     METABLADE,
+    METABLADE_PLATFORM,
     experiment_table5,
     experiment_topper,
 )
 
 
 def main() -> None:
-    machine = BladedBeowulf.metablade()
+    machine = METABLADE_PLATFORM
 
     print("=" * 64)
     print("The machine (paper Sections 2-3)")

@@ -17,17 +17,19 @@ a simulator faithful enough to regenerate the paper's evaluation:
 - :mod:`repro.npb` - NAS-parallel-benchmark work-alikes;
 - :mod:`repro.metrics` - TCO, ToPPeR, performance/space and
   performance/power;
-- :mod:`repro.core` - the façade plus one regenerator per table/figure.
+- :mod:`repro.platform` - the one machine description: a
+  :class:`~repro.platform.spec.PlatformSpec` per named machine, from
+  which node rate, fabric, power model and cluster economics derive;
+- :mod:`repro.core` - one regenerator per table/figure.
 
 Quickstart::
 
-    from repro.core import BladedBeowulf, experiment_table5
-    print(BladedBeowulf.metablade().summary())
+    from repro import METABLADE_PLATFORM, experiment_table5
+    print(METABLADE_PLATFORM.summary())
     print(experiment_table5().text)
 """
 
 from repro.core import (
-    BladedBeowulf,
     experiment_fig3,
     experiment_table1,
     experiment_table2,
@@ -40,15 +42,16 @@ from repro.core import (
 )
 from repro.cluster import GREEN_DESTINY, METABLADE, METABLADE2
 from repro.metrics import CostParameters, ToPPeR, tco_for, topper
+from repro.platform import METABLADE_PLATFORM, platform_by_name
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BladedBeowulf",
     "CostParameters",
     "GREEN_DESTINY",
     "METABLADE",
     "METABLADE2",
+    "METABLADE_PLATFORM",
     "ToPPeR",
     "__version__",
     "experiment_fig3",
@@ -60,6 +63,7 @@ __all__ = [
     "experiment_table6",
     "experiment_table7",
     "experiment_topper",
+    "platform_by_name",
     "tco_for",
     "topper",
 ]

@@ -213,9 +213,9 @@ def _check_platform_drift(manifest: RunManifest) -> Optional[str]:
     recorded = manifest.payload.get("platform_hash")
     if recorded is None:
         return None
-    from repro.platform.registry import platform_by_name
+    from repro.platform.registry import DEFAULT_PLATFORM, platform_by_name
     name = manifest.payload.get(
-        "platform", manifest.params.get("platform", "metablade")
+        "platform", manifest.params.get("platform", DEFAULT_PLATFORM)
     )
     try:
         current = platform_by_name(name).content_hash()

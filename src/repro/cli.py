@@ -30,12 +30,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from repro.core import (
-    BladedBeowulf,
     experiment_fig3,
     experiment_table1,
     experiment_table2,
@@ -49,10 +49,11 @@ from repro.core import (
 )
 from repro.metrics.report import format_table
 from repro.nbody.sim import SimConfig
+from repro.platform.registry import METABLADE_PLATFORM, platform_by_name
 
 
 def _cmd_summary(_args) -> None:
-    print(BladedBeowulf.metablade().summary())
+    print(METABLADE_PLATFORM.summary())
 
 
 def _cmd_table1(_args) -> None:
@@ -134,7 +135,7 @@ def _cmd_timeline(args) -> None:
 
 def _cmd_thermal(args) -> None:
     from repro.metrics.thermal import thermal_mtbf_report
-    from repro.platform.registry import PLATFORM_REGISTRY, platform_by_name
+    from repro.platform.registry import PLATFORM_REGISTRY
 
     names = getattr(args, "platforms", None) or sorted(PLATFORM_REGISTRY)
     _, table = thermal_mtbf_report([platform_by_name(n) for n in names])
@@ -154,19 +155,21 @@ def _sched_block(job) -> str:
     from repro.sched.scenario import build_scheduler
 
     sched = build_scheduler(params)
+    tel = None
+    span = contextlib.nullcontext()
     if telemetry is not None:
         from repro.telemetry import Telemetry
         tel = Telemetry()
         tel.attach(sched.kernel)
-        with tel.wall_span("sched.run", jobs=params["jobs"],
-                           policy=params["policy"], seed=params["seed"]):
-            outcome = sched.run()
+        span = tel.wall_span("sched.run", jobs=params["jobs"],
+                             policy=params["policy"], seed=params["seed"])
+    with span:
+        outcome = sched.run()
+    if tel is not None:
         tel.detach()
         tel.ingest_sched(outcome, platform=sched.platform)
         tel.finish(sched.kernel.now)
         tel.export(telemetry)
-    else:
-        outcome = sched.run()
     gantt = render_gantt(
         outcome.allocator.intervals, outcome.nodes,
         outcome.makespan_s, width=width,

@@ -23,10 +23,12 @@ from repro.cluster.catalog import (
     LOKI,
     METABLADE,
     METABLADE2,
+    PEAK_FLOPS_PER_CYCLE,
     TABLE5_CLUSTERS,
     Cluster,
     Packaging,
     cluster_by_name,
+    peak_gflops,
     traditional_beowulf,
 )
 from repro.cluster.management import (
@@ -60,6 +62,7 @@ __all__ = [
     "ManagementHub",
     "NodeConfig",
     "OutageProfile",
+    "PEAK_FLOPS_PER_CYCLE",
     "TRADITIONAL_OUTAGES",
     "Packaging",
     "RACK_FOOTPRINT_SQFT",
@@ -68,6 +71,7 @@ __all__ = [
     "ServerBlade",
     "TABLE5_CLUSTERS",
     "cluster_by_name",
+    "peak_gflops",
     "sample_failure_times",
     "traditional_beowulf",
 ]

@@ -1,14 +1,13 @@
-"""Top-level façade: the Bladed Beowulf system and experiment index.
+"""The experiment index and the shared virtual clock.
 
-:class:`~repro.core.system.BladedBeowulf` wires the packages together
-the way the paper's Section 2-4 narrative does; :mod:`~repro.core.experiments`
-regenerates every table and figure of the evaluation;
+:mod:`~repro.core.experiments` regenerates every table and figure of
+the evaluation, each on a :class:`~repro.platform.spec.PlatformSpec`
+from :mod:`repro.platform.registry` (the one machine description);
 :mod:`~repro.core.events` is the discrete-event kernel every
 time-bearing layer shares.
 """
 
 from repro.core.events import Event, EventKernel, Process, TimelineEvent
-from repro.core.system import BladedBeowulf, PEAK_FLOPS_PER_CYCLE, peak_gflops
 from repro.core.experiments import (
     Table4Row,
     experiment_fig3,
@@ -24,10 +23,8 @@ from repro.core.experiments import (
 )
 
 __all__ = [
-    "BladedBeowulf",
     "Event",
     "EventKernel",
-    "PEAK_FLOPS_PER_CYCLE",
     "Process",
     "Table4Row",
     "TimelineEvent",
@@ -41,5 +38,4 @@ __all__ = [
     "experiment_table7",
     "experiment_timeline",
     "experiment_topper",
-    "peak_gflops",
 ]

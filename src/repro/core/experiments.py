@@ -8,6 +8,7 @@ each.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +41,11 @@ from repro.perfmodel.calibration import (
     table1_mflops,
 )
 from repro.perfmodel.projector import table3_mops
-from repro.core.system import BladedBeowulf, peak_gflops
+from repro.platform.registry import (
+    DEFAULT_PLATFORM,
+    METABLADE_PLATFORM,
+    platform_by_name,
+)
 
 
 @dataclass
@@ -118,9 +123,10 @@ def experiment_table2(
     import warnings
 
     from repro.nbody.parallel import scaling_study
-    from repro.platform.registry import platform_by_name
 
-    spec = platform_by_name(platform if platform is not None else "metablade")
+    spec = platform_by_name(
+        platform if platform is not None else DEFAULT_PLATFORM
+    )
     config = SimConfig(n=n, steps=steps, seed=seed, theta=0.7, softening=1e-2)
     counts = tuple(c for c in cpu_counts if c <= spec.nodes)
     dropped = tuple(c for c in cpu_counts if c > spec.nodes)
@@ -136,16 +142,12 @@ def experiment_table2(
             f"{spec.nodes} nodes"
         )
     tel = None
+    span = contextlib.nullcontext()
     if telemetry is not None:
         from repro.telemetry import Telemetry
         tel = Telemetry()
-    if tel is not None:
-        with tel.wall_span("table2.scaling_study", cpus=list(counts)):
-            points = scaling_study(
-                config, counts, spec.node_flop_rate(),
-                ideal_network=ideal_network, jobs=jobs, platform=spec.name,
-            )
-    else:
+        span = tel.wall_span("table2.scaling_study", cpus=list(counts))
+    with span:
         points = scaling_study(
             config, counts, spec.node_flop_rate(),
             ideal_network=ideal_network, jobs=jobs, platform=spec.name,
@@ -341,7 +343,7 @@ def experiment_fig3(config: Optional[SimConfig] = None,
     )
     sim = NBodySimulation(cfg)
     result = sim.run()
-    machine = BladedBeowulf.metablade()
+    machine = METABLADE_PLATFORM
     sustained = machine.sustained_gflops()
     peak = machine.peak_gflops()
     pct = machine.percent_of_peak()
@@ -426,20 +428,23 @@ def experiment_timeline(
 
     from repro.core.events import EventKernel
     from repro.nbody.parallel import run_parallel_nbody
-    from repro.platform.registry import platform_by_name
     from repro.simmpi import SimMpiRuntime, render_timeline
 
-    spec = platform_by_name(platform if platform is not None else "metablade")
+    spec = platform_by_name(
+        platform if platform is not None else DEFAULT_PLATFORM
+    )
     if ranks > spec.nodes:
         raise ValueError(
             f"{ranks} ranks exceed {spec.name}'s {spec.nodes} nodes"
         )
     kernel = EventKernel(record_timeline=True)
     tel = None
+    span = contextlib.nullcontext()
     if telemetry is not None:
         from repro.telemetry import Telemetry
         tel = Telemetry()
         tel.attach(kernel)
+        span = tel.wall_span("timeline.step", ranks=ranks, n=n)
     network = None
     governor = None
     tspec = None
@@ -491,9 +496,7 @@ def experiment_timeline(
             resources, horizon_s=1.0, mtbf_s=net_mtbf_s,
             mttr_s=net_mttr_s, seed=seed + NET_SEED_OFFSET,
         )
-        attach = getattr(fabric, "attach_faults", None)
-        if attach is not None:
-            attach(net_plan, resources=resources)
+        fabric.attach_faults(net_plan, resources=resources)
         policy = RetryPolicy()
     runtime = SimMpiRuntime(
         ranks, fabric=fabric,
@@ -503,12 +506,7 @@ def experiment_timeline(
     if fail_rank is not None:
         runtime.fail_at(fail_at_s, fail_rank, detail="injected")
     config = SimConfig(n=n, steps=1, seed=seed, theta=0.7, softening=1e-2)
-    if tel is not None:
-        with tel.wall_span("timeline.step", ranks=ranks, n=n):
-            run = run_parallel_nbody(
-                config, ranks, spec.node_flop_rate(), runtime=runtime
-            )
-    else:
+    with span:
         run = run_parallel_nbody(
             config, ranks, spec.node_flop_rate(), runtime=runtime
         )

@@ -23,8 +23,8 @@ from repro.cluster.catalog import (
     LOKI,
     METABLADE,
     METABLADE2,
+    peak_gflops,
 )
-from repro.core.system import peak_gflops
 
 #: Fraction of peak a tuned Linpack sustains on these clusters.
 LINPACK_EFFICIENCY = 0.55

@@ -62,14 +62,6 @@ def topper(cluster: Cluster, sustained_gflops: float = None,
     )
 
 
-def topper_for_platform(platform, sustained_gflops: float = None,
-                        params: CostParameters = DEFAULT_COSTS) -> ToPPeR:
-    """ToPPeR with every denominator read from a declarative
-    :class:`~repro.platform.spec.PlatformSpec` (footprint, power and
-    acquisition cost flow through its physical-economics view)."""
-    return topper(platform.cluster(), sustained_gflops, params)
-
-
 def topper_advantage(blade: ToPPeR, traditional: ToPPeR) -> float:
     """How many times better (lower) the blade's ToPPeR is."""
     return traditional.usd_per_gflop / blade.usd_per_gflop

@@ -15,7 +15,11 @@ which every consumer is *derived*:
 - :meth:`PlatformSpec.node_flop_rate` — the node compute rate;
 - :meth:`PlatformSpec.power_model` — the energy-accounting model;
 - :meth:`PlatformSpec.cluster` — the physical denominators (sq ft,
-  watts, dollars) consumed by :mod:`repro.metrics` for Tables 5-7.
+  watts, dollars) consumed by :mod:`repro.metrics` for Tables 5-7;
+- :meth:`PlatformSpec.sustained_gflops` / :meth:`~PlatformSpec.peak_gflops`
+  / :meth:`~PlatformSpec.percent_of_peak` — the Section 3.3 ratings;
+- :meth:`PlatformSpec.summary` — the five-line headline (size, rating,
+  power, TCO, ToPPeR) that ``repro.cli summary`` prints.
 
 Because the spec serializes canonically (:meth:`PlatformSpec.to_dict` /
 :meth:`PlatformSpec.content_hash`), a run manifest can record *which
@@ -37,7 +41,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.cluster.catalog import Cluster, Packaging
+from repro.cluster.catalog import Cluster, Packaging, peak_gflops
 from repro.cluster.node import NodeConfig
 from repro.cpus.base import ProcessorSpec
 from repro.cpus.power import PowerModel
@@ -281,6 +285,17 @@ class PlatformSpec:
         from repro.perfmodel.calibration import sustained_treecode_mflops
         return sustained_treecode_mflops(self.processor_model()) * 1e6
 
+    def sustained_gflops(self) -> float:
+        """Whole-machine sustained treecode rating: node rate x nodes."""
+        return self.node_flop_rate() * self.nodes / 1e9
+
+    def peak_gflops(self) -> float:
+        """Theoretical peak (the paper's percent-of-peak denominator)."""
+        return peak_gflops(self.cluster())
+
+    def percent_of_peak(self) -> float:
+        return 100.0 * self.sustained_gflops() / self.peak_gflops()
+
     def build_fabric(self, nodes: Optional[int] = None,
                      blades: Optional[Sequence[int]] = None):
         """The SimMPI interconnect, sized for *nodes* (default: all)."""
@@ -389,10 +404,6 @@ class PlatformSpec:
         """
         return _canonical_hash(self.to_dict())
 
-    def with_nodes(self, nodes: int, **updates: Any) -> "PlatformSpec":
-        """A resized variant (scenario exploration helper)."""
-        return replace(self, nodes=nodes, **updates)
-
     # -- interop ----------------------------------------------------------
 
     @classmethod
@@ -427,15 +438,25 @@ class PlatformSpec:
             power_kw_override=cluster.power_kw_override,
         )
 
-    def describe(self) -> str:
+    def summary(self) -> str:
+        """The five-line headline: size, rating, power, TCO, ToPPeR."""
+        from repro.metrics.tco import tco_for
+        from repro.metrics.topper import topper
+
         c = self.cluster()
-        fabric = self.fabric.kind
-        if fabric == "rack":
-            chassis = -(-self.nodes // self.fabric.nodes_per_chassis)
-            fabric = f"rack ({chassis} chassis, {self.fabric.uplink.name})"
-        return (
-            f"{self.name}: {self.nodes}x {self.processor.clock_mhz:.0f}-MHz "
-            f"{self.processor.name}, {fabric} fabric, "
-            f"{c.power_kw:.2f} kW, {c.footprint_sqft:.0f} sq ft, "
-            f"${c.acquisition_usd / 1000:.0f}K"
-        )
+        t = tco_for(c)
+        sustained = self.sustained_gflops()
+        rating = topper(c, sustained)
+        lines = [
+            f"{c.name}: {c.nodes}x {c.processor.clock_mhz:.0f}-MHz "
+            f"{c.processor.name} ({c.packaging.value})",
+            f"  sustained {sustained:.2f} Gflops "
+            f"({self.percent_of_peak():.0f}% of {self.peak_gflops():.1f} peak)",
+            f"  power {c.power_kw:.2f} kW, footprint "
+            f"{c.footprint_sqft:.0f} sq ft",
+            f"  4-year TCO ${t.total / 1000:.0f}K "
+            f"(acquisition ${t.acquisition / 1000:.0f}K, "
+            f"operating ${t.operating / 1000:.0f}K)",
+            f"  ToPPeR ${rating.usd_per_gflop / 1000:.1f}K per Gflop",
+        ]
+        return "\n".join(lines)

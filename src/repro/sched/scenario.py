@@ -25,7 +25,11 @@ from repro.network.faults import (
     DEFAULT_NET_MTTR_S,
     NetFaultConfig,
 )
-from repro.platform.registry import platform_by_name, platform_names
+from repro.platform.registry import (
+    DEFAULT_PLATFORM,
+    platform_by_name,
+    platform_names,
+)
 from repro.sched.job import synthetic_stream
 from repro.sched.policy import policy_by_name
 from repro.sched.scheduler import BatchScheduler, SchedConfig
@@ -38,7 +42,7 @@ DEFAULTS: Dict[str, Any] = {
     "mtbf": 0.05,
     "checkpoint": 0,
     "max_retries": 3,
-    "platform": "metablade",
+    "platform": DEFAULT_PLATFORM,
     # Thermal modelling (repro.thermal).  ``thermal`` builds the RC
     # network; ``thermal_accel`` compresses its time constant to the
     # stream's virtual-seconds scale; ``thermal_fail`` swaps the flat
@@ -152,7 +156,7 @@ def add_scenario_arguments(parser: argparse.ArgumentParser,
                         choices=platform_names(),
                         help="registry platform to schedule on; picks node "
                              "count, node rate AND fabric (default: "
-                             "metablade)")
+                             f"{DEFAULT_PLATFORM})")
     parser.add_argument("--thermal", action="store_true",
                         help="model blade temperatures (lumped-RC network, "
                              "coolest-first placement, thermal throttling)")

@@ -656,12 +656,10 @@ class BatchScheduler:
         """
         fabric = self.platform.build_fabric(spec.nodes, blades=blades)
         if self._net_timeline is not None:
-            attach = getattr(fabric, "attach_faults", None)
-            if attach is not None:
-                attach(
-                    self._net_timeline,
-                    resources=[link_resource(b) for b in blades],
-                )
+            fabric.attach_faults(
+                self._net_timeline,
+                resources=[link_resource(b) for b in blades],
+            )
         return SimMpiRuntime(
             spec.nodes,
             fabric=fabric,

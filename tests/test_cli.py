@@ -33,6 +33,18 @@ def test_cli_summary(capsys):
     assert "633-MHz" in out
 
 
+def test_cli_summary_is_byte_pinned(capsys):
+    # The exact text README's Quickstart quotes.
+    assert main(["summary"]) == 0
+    assert capsys.readouterr().out == (
+        "MetaBlade: 24x 633-MHz Transmeta TM5600 (bladed)\n"
+        "  sustained 2.10 Gflops (14% of 15.2 peak)\n"
+        "  power 0.52 kW, footprint 6 sq ft\n"
+        "  4-year TCO $35K (acquisition $26K, operating $9K)\n"
+        "  ToPPeR $16.8K per Gflop\n"
+    )
+
+
 def test_cli_green500(capsys):
     assert main(["green500"]) == 0
     out = capsys.readouterr().out

@@ -1,10 +1,10 @@
-"""Façade and experiment regenerators: the paper's headline numbers."""
+"""The MetaBlade platform and the experiment regenerators: the paper's
+headline numbers."""
 
 import pytest
 
-from repro.cluster import GREEN_DESTINY, METABLADE, METABLADE2
+from repro.cluster import GREEN_DESTINY, Packaging, peak_gflops
 from repro.core import (
-    BladedBeowulf,
     experiment_fig3,
     experiment_table1,
     experiment_table2,
@@ -13,15 +13,16 @@ from repro.core import (
     experiment_table6,
     experiment_table7,
     experiment_topper,
-    peak_gflops,
 )
 from repro.core.experiments import HISTORICAL_TREECODE, modelled_treecode_rows
+from repro.metrics.tco import tco_for
 from repro.nbody.sim import SimConfig
+from repro.platform.registry import METABLADE_PLATFORM
 
 
 @pytest.fixture(scope="module")
 def metablade():
-    return BladedBeowulf.metablade()
+    return METABLADE_PLATFORM
 
 
 def test_peak_gflops_matches_paper(metablade):
@@ -46,8 +47,10 @@ def test_summary_contains_headlines(metablade):
 
 
 def test_tco_and_topper_accessors(metablade):
-    assert metablade.tco().total == pytest.approx(35_292, abs=500)
-    assert metablade.is_bladed
+    assert tco_for(metablade.cluster()).total == pytest.approx(
+        35_292, abs=500
+    )
+    assert metablade.packaging is Packaging.BLADED
 
 
 @pytest.mark.slow

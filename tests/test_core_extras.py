@@ -1,15 +1,19 @@
-"""Additional façade coverage: table 2 variants, table 3 at class T,
-BladedBeowulf on alternative clusters."""
+"""Additional experiment coverage: table 2 variants, table 3 at class T,
+the sustained/peak ratings of the other bladed platforms."""
 
 import pytest
 
-from repro.cluster import GREEN_DESTINY, METABLADE2
+from repro.cluster import PEAK_FLOPS_PER_CYCLE, Packaging
 from repro.core import (
-    BladedBeowulf,
     experiment_table2,
     experiment_table3,
 )
-from repro.core.system import PEAK_FLOPS_PER_CYCLE
+from repro.metrics.topper import topper
+from repro.platform.registry import (
+    GREEN_DESTINY_240,
+    METABLADE2_PLATFORM,
+    METABLADE_PLATFORM,
+)
 
 
 def test_peak_table_covers_every_catalog_cpu():
@@ -37,8 +41,8 @@ def test_table3_at_tiny_class():
 
 @pytest.mark.slow
 def test_metablade2_facade():
-    machine = BladedBeowulf(cluster=METABLADE2)
-    assert machine.is_bladed
+    machine = METABLADE2_PLATFORM
+    assert machine.packaging is Packaging.BLADED
     # Paper footnote 3: 3.3 Gflops on MetaBlade2.
     assert machine.sustained_gflops() == pytest.approx(3.3, abs=0.15)
     assert machine.peak_gflops() == pytest.approx(24 * 0.8, rel=0.01)
@@ -46,18 +50,18 @@ def test_metablade2_facade():
 
 @pytest.mark.slow
 def test_green_destiny_facade():
-    machine = BladedBeowulf(cluster=GREEN_DESTINY)
+    machine = GREEN_DESTINY_240
     # Ten chassis of TM5800s.
-    assert machine.cluster.chassis_count == 10
+    assert machine.cluster().chassis_count == 10
     # The model rates the delivered 240-blade machine above the paper's
     # pre-delivery 21.5 Gflops projection (EXPERIMENTS.md, Table 6 note).
     assert machine.sustained_gflops() == pytest.approx(33.2, abs=2.0)
-    assert machine.cluster.nodes == 240
+    assert machine.cluster().nodes == 240
 
 
 def test_facade_topper_uses_sustained_rating():
-    machine = BladedBeowulf.metablade()
-    rating = machine.topper()
+    machine = METABLADE_PLATFORM
+    rating = topper(machine.cluster(), machine.sustained_gflops())
     assert rating.cluster_name == "MetaBlade"
     assert rating.usd_per_gflop > 0
 

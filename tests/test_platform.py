@@ -298,12 +298,6 @@ def test_throughput_report_platform_matches_cluster():
         throughput_report(outcome, METABLADE, platform=spec)
 
 
-def test_topper_for_platform_matches_cluster_topper():
-    from repro.metrics.topper import topper, topper_for_platform
-
-    assert topper_for_platform(METABLADE_PLATFORM) == topper(METABLADE)
-
-
 # ---------------------------------------------------------------------------
 # Check integration: platform drift vs trace divergence
 # ---------------------------------------------------------------------------

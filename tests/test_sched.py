@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.system import BladedBeowulf
 from repro.metrics.throughput import throughput_report
 from repro.platform.registry import METABLADE_PLATFORM
 from repro.sched import (
@@ -22,8 +21,7 @@ from repro.sched import (
 from repro.sched.policy import QueuedJob, RunningJob
 
 
-MACHINE = BladedBeowulf.metablade()
-RATE = MACHINE.node_flop_rate()
+RATE = METABLADE_PLATFORM.node_flop_rate()
 
 
 def make_sched(policy=None, config=None):
