@@ -22,9 +22,10 @@ a ``fuzz-failure`` manifest that ``repro.cli check --replay`` re-runs.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.check.manifest import RunManifest
 
@@ -48,6 +49,31 @@ class Oracle:
                ) -> Iterator[Dict[str, Any]]:
         """Candidate smaller parameter sets (may be empty)."""
         return iter(())
+
+
+def _state_divergences(mine, ref) -> List[Tuple[str, Any, Any]]:
+    """``(location, mine, ref)`` for every differing location of two states.
+
+    Integer registers, fp registers, memory words (``mem[addr]``) and
+    the halted flag, in that order; values compare by their bits, as
+    ``MachineState.architectural_view`` does, and a word only one state
+    touched differs (its other value is ``None``).
+    """
+    def bits(value: Any) -> Any:
+        return struct.pack("<d", value) if isinstance(value, float) else value
+
+    spaces = (
+        ("{}", mine.iregs, ref.iregs),
+        ("{}", mine.fregs, ref.fregs),
+        ("mem[{}]", mine.mem.snapshot(), ref.mem.snapshot()),
+        ("{}", {"halted": mine.halted}, {"halted": ref.halted}),
+    )
+    diffs = []
+    for label, a, b in spaces:
+        for key in sorted(set(a) | set(b)):
+            if bits(a.get(key)) != bits(b.get(key)):
+                diffs.append((label.format(key), a.get(key), b.get(key)))
+    return diffs
 
 
 class CmsOracle(Oracle):
@@ -86,20 +112,15 @@ class CmsOracle(Oracle):
         result = cms.run(
             program, random_state(params["seed"]), max_steps=10**6
         )
-        mine = result.state.architectural_view()
-        ref = golden.architectural_view()
-        if mine != ref:
-            diffs = [
-                key for key in sorted(set(mine) | set(ref))
-                if mine.get(key) != ref.get(key)
-            ]
-            return (
-                f"CMS state diverges from golden interpreter on "
-                f"{len(diffs)} location(s), first: {diffs[0]!r} "
-                f"(cms={mine.get(diffs[0])!r}, "
-                f"golden={ref.get(diffs[0])!r})"
-            )
-        return None
+        if result.state.architectural_view() == golden.architectural_view():
+            return None
+        diffs = _state_divergences(result.state, golden)
+        where, mine, ref = diffs[0]
+        return (
+            f"CMS state diverges from golden interpreter on "
+            f"{len(diffs)} location(s), first: {where} "
+            f"(cms={mine!r}, golden={ref!r})"
+        )
 
     def shrink(self, params: Dict[str, Any]
                ) -> Iterator[Dict[str, Any]]:

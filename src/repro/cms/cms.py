@@ -117,9 +117,10 @@ class CodeMorphingSoftware:
         threshold = self.config.hot_threshold
         prev_native_pc = None
         chains = self._chains
+        retired = 0
 
         while not machine.state.halted:
-            if machine.stats.instructions > max_steps:
+            if retired > max_steps:
                 raise RuntimeError(
                     f"exceeded max_steps={max_steps} in {program.name}"
                 )
@@ -140,11 +141,13 @@ class CodeMorphingSoftware:
                             and prev_native_pc is not None):
                         chains.add(edge)      # CMS patches the edge
                 self.engine.execute_block(translation.block, program, machine)
+                retired += translation.block.guest_count
                 native_blocks += 1
                 prev_native_pc = pc
                 continue
             prev_native_pc = None
             executed = self.interpreter.interpret_block(program, machine)
+            retired += executed
             profile = self.profile.record(pc, executed)
             if profile.executions >= threshold:
                 self.tcache.insert(self.translator.translate(program, pc))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.isa.instructions import Program
-from repro.isa.machine import Machine
+from repro.isa.machine import Machine, decode
 from repro.vliw.engine import VliwEngine
 
 
@@ -47,13 +47,11 @@ class GuestInterpreter:
         state advances exactly as the golden machine dictates; the VLIW
         clock is charged the interpretation cost.
         """
-        block = program.basic_block_at(machine.state.pc)
-        executed = 0
-        for _ in block:
-            if not machine.step(program):
-                executed += 1
-                break
-            executed += 1
+        block_len = decode(program).block_len
+        pc = machine.state.pc
+        # A pc past the end runs one step, which faults.
+        executed = machine.execute(
+            program, block_len[pc] if pc < len(block_len) else 1)
         cycles = executed * self.cycles_per_instr
         self.engine.charge(cycles)
         self.stats.guest_instructions += executed

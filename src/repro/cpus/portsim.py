@@ -24,11 +24,12 @@ are dominated by highly regular loops); this is noted in DESIGN.md.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.isa.instructions import Instr, Op, OpClass, Program
+from repro.isa.instructions import REG_INDEX, Instr, Op, OpClass, Program
 from repro.isa.machine import ExecStats, Machine, MachineState
 from repro.cpus.base import (
     KernelResult,
@@ -70,8 +71,6 @@ class PortTimeline:
 
     def probe(self, ready: int, occupancy: int) -> tuple:
         """Earliest (insert_index, start) with a gap >= occupancy."""
-        from bisect import bisect_right
-
         starts, ends = self.starts, self.ends
         i = bisect_right(starts, ready)
         s = ready
@@ -98,6 +97,17 @@ class PortTimeline:
         return start
 
 
+#: Memory kind of an issue record.
+_NOT_MEM, _LOAD, _STORE = 0, 1, 2
+_MEM_KIND = {OpClass.LOAD: _LOAD, OpClass.STORE: _STORE}
+
+#: Per-pc issue record: (port timelines, latency, occupancy, source
+#: register indices, destination index or -1, memory kind, address base
+#: register, address immediate).
+IssueRecord = Tuple[Tuple[PortTimeline, ...], int, int, Tuple[int, ...],
+                    int, int, Optional[str], int]
+
+
 class PortSimulator:
     """Times a dynamic guest instruction stream on a port machine."""
 
@@ -115,7 +125,7 @@ class PortSimulator:
         self._reset()
 
     def _reset(self) -> None:
-        self._reg_ready: Dict[str, int] = {}
+        self._reg_ready: List[int] = [0] * len(REG_INDEX)
         self._ports: Dict[str, PortTimeline] = {
             p: PortTimeline() for p in self.table.port_names()
         }
@@ -128,83 +138,98 @@ class PortSimulator:
         self._store_issue_by_addr: Dict[int, int] = {}
         self._horizon = 0
 
-    def _issue(self, instr: Instr, mem_addr: Optional[int]) -> None:
+    def _record(self, instr: Instr) -> IssueRecord:
+        """Resolve *instr* against the port table and this run's ports."""
         spec = self.table.spec(instr.opclass)
         latency, occupancy = spec.latency, spec.occupancy
         if instr.op is Op.FMADD and not self.has_fma:
             # Machines without fused multiply-add crack FMADD into a
             # multiply feeding an add: longer latency, double occupancy.
-            add_spec = self.table.spec(OpClass.FPADD)
-            latency = spec.latency + add_spec.latency
-            occupancy = spec.occupancy + 1
+            latency += self.table.spec(OpClass.FPADD).latency
+            occupancy += 1
+        kind = _MEM_KIND.get(instr.opclass, _NOT_MEM)
+        return (
+            tuple(self._ports[p] for p in spec.ports),
+            latency,
+            occupancy,
+            tuple(REG_INDEX[r] for r in instr.reads()),
+            -1 if instr.dst is None else REG_INDEX[instr.dst],
+            kind,
+            instr.srcs[0] if kind else None,
+            instr.imm,
+        )
+
+    def _issue(self, record: IssueRecord, iregs: Dict[str, int]) -> None:
+        """Time one instruction; called before it runs, so a memory
+        operation's address comes from the registers it reads."""
+        ports, latency, occupancy, reads, dst, kind, base, imm = record
+        mem_addr = iregs[base] + imm if kind else None
 
         # --- dispatch (in-order, fetch- and ROB-bounded) ---
+        ring = self._dispatch_ring
         dispatch = 0
-        if len(self._dispatch_ring) == self._dispatch_ring.maxlen:
-            dispatch = max(dispatch, self._dispatch_ring[0] + 1)
-        if self._dispatch_ring:
-            dispatch = max(dispatch, self._dispatch_ring[-1])
+        if ring:
+            dispatch = ring[-1]
+            if len(ring) == self.issue_width and ring[0] + 1 > dispatch:
+                dispatch = ring[0] + 1
         if self.window > 0:
-            if len(self._retire_ring) == self._retire_ring.maxlen:
-                dispatch = max(dispatch, self._retire_ring[0])
-        self._dispatch_ring.append(dispatch)
+            retire_ring = self._retire_ring
+            if len(retire_ring) == self.window and retire_ring[0] > dispatch:
+                dispatch = retire_ring[0]
+        ring.append(dispatch)
 
         # --- issue (data- and resource-driven) ---
         t = dispatch
-        for src in instr.reads():
-            t = max(t, self._reg_ready.get(src, 0))
-        if instr.opclass is OpClass.LOAD and mem_addr is not None:
+        reg_ready = self._reg_ready
+        for src in reads:
+            if reg_ready[src] > t:
+                t = reg_ready[src]
+        if kind == _LOAD:
             t = max(t, self._store_issue_by_addr.get(mem_addr, 0))
-        if self.window == 0:
+        if self.window == 0 and self._last_issue > t:
             # Strict in-order issue: cannot overtake older instructions.
-            t = max(t, self._last_issue)
+            t = self._last_issue
         # Book the port whose calendar offers the earliest start.
-        best = None
-        for p in spec.ports:
-            index, start = self._ports[p].probe(t, occupancy)
-            if best is None or start < best[2]:
-                best = (p, index, start)
-        port, index, start = best
-        self._ports[port].commit(index, start, occupancy)
+        timeline = ports[0]
+        index, start = timeline.probe(t, occupancy)
+        for other in ports[1:]:
+            other_index, other_start = other.probe(t, occupancy)
+            if other_start < start:
+                timeline, index, start = other, other_index, other_start
         t = start
+        timeline.commit(index, t, occupancy)
         self._last_issue = t
 
         # --- complete / retire ---
         done = t + latency
-        dst = instr.writes()
-        if dst is not None:
-            self._reg_ready[dst] = done
-        if instr.opclass is OpClass.STORE and mem_addr is not None:
+        if dst >= 0:
+            reg_ready[dst] = done
+        if kind == _STORE:
             self._store_issue_by_addr[mem_addr] = t
-        retire = max(self._last_retire, done)
-        self._last_retire = retire
+        if done > self._last_retire:
+            self._last_retire = done
         if self.window > 0:
-            self._retire_ring.append(retire)
-        self._horizon = max(self._horizon, done)
-
-    @staticmethod
-    def _effective_address(instr: Instr, state: MachineState) -> Optional[int]:
-        if instr.opclass in (OpClass.LOAD, OpClass.STORE):
-            return state.iregs[instr.srcs[0]] + instr.imm
-        return None
+            self._retire_ring.append(self._last_retire)
+        if done > self._horizon:
+            self._horizon = done
 
     def simulate(self, program: Program,
                  state: Optional[MachineState] = None,
                  max_steps: int = 10_000_000) -> SimOutcome:
         """Run *program*, feeding every retired instruction to the model."""
         self._reset()
+        records = [self._record(instr) for instr in program]
         machine = Machine(state=state, max_steps=max_steps)
+        iregs = machine.state.iregs
+        issue = self._issue
         steps = 0
-        while not machine.state.halted:
-            instr = program[machine.state.pc]
-            addr = self._effective_address(instr, machine.state)
-            machine.step(program)
-            self._issue(instr, addr)
+        for pc in machine.trace(program, max_steps + 1):
+            issue(records[pc], iregs)
             steps += 1
-            if steps > max_steps:
-                raise RuntimeError(
-                    f"exceeded max_steps={max_steps} in {program.name}"
-                )
+        if steps > max_steps:
+            raise RuntimeError(
+                f"exceeded max_steps={max_steps} in {program.name}"
+            )
         return SimOutcome(
             cycles=self._horizon,
             state=machine.state,

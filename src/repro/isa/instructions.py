@@ -21,6 +21,9 @@ from typing import Optional, Sequence, Tuple
 
 IREG_NAMES: Tuple[str, ...] = tuple(f"r{i}" for i in range(16))
 FREG_NAMES: Tuple[str, ...] = tuple(f"f{i}" for i in range(16))
+#: Dense index of every register (integer file first), for timing
+#: models that keep a per-register scoreboard in a flat list.
+REG_INDEX = {name: i for i, name in enumerate(IREG_NAMES + FREG_NAMES)}
 
 
 class Op(enum.Enum):
@@ -214,15 +217,18 @@ class Instr:
     srcs: Tuple[str, ...] = ()
     imm: int = 0
     fimm: float = 0.0
+    #: Resource class of ``op``, resolved once when the instruction is
+    #: built (derived from ``op``, so outside equality, hash and repr).
+    opclass: OpClass = field(init=False, repr=False, compare=False)
+    #: Floating-point operations this instruction counts as.
+    flops: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for reg in (self.dst, *self.srcs):
             if reg is not None and reg not in IREG_NAMES and reg not in FREG_NAMES:
                 raise ValueError(f"unknown register {reg!r} in {self.op}")
-
-    @property
-    def opclass(self) -> OpClass:
-        return op_class(self.op)
+        object.__setattr__(self, "opclass", _OP_CLASS[self.op])
+        object.__setattr__(self, "flops", FLOP_OPS.get(self.op, 0))
 
     @property
     def is_branch(self) -> bool:
@@ -231,11 +237,6 @@ class Instr:
     @property
     def ends_block(self) -> bool:
         return self.op in BLOCK_ENDERS
-
-    @property
-    def flops(self) -> int:
-        """Number of floating-point operations this instruction counts as."""
-        return FLOP_OPS.get(self.op, 0)
 
     def reads(self) -> Tuple[str, ...]:
         """Registers read by this instruction."""
@@ -274,6 +275,13 @@ class Program:
                 raise ValueError(
                     f"branch target {instr.imm} out of range in {self.name}"
                 )
+
+    def __getstate__(self) -> dict:
+        # The decoded form that repro.isa.machine.decode memoises on the
+        # object holds closures; a copy or pickle decodes afresh.
+        state = dict(self.__dict__)
+        state.pop("_decoded", None)
+        return state
 
     def __len__(self) -> int:
         return len(self.instrs)

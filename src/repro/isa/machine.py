@@ -4,13 +4,19 @@ Every other execution engine in the library - the CMS interpreter, the
 translated VLIW code, the hardware CPU models - must produce *exactly*
 the same architectural state as this machine.  The test suite enforces
 that invariant with property-based random programs.
+
+A program is decoded once (:func:`decode`): every instruction becomes a
+handler closure with its operands bound, looked up by opcode in
+:data:`DISPATCH`, and the decoded form is memoised on the ``Program``
+object.  Every engine executes through those handlers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.isa.instructions import (
     FREG_NAMES,
@@ -23,6 +29,8 @@ from repro.isa.instructions import (
 
 _INT_MASK = (1 << 64) - 1
 _INT_SIGN = 1 << 63
+_INT_MIN = -_INT_SIGN
+_INT_MAX = _INT_SIGN - 1
 
 
 def _wrap64(value: int) -> int:
@@ -160,159 +168,400 @@ class ExecStats:
             self.by_class[cls] = self.by_class.get(cls, 0) + n
 
 
+# -- semantics of each opcode --------------------------------------------
+#
+# A handler applies one decoded instruction to the register files and
+# memory, ``handler(iregs, fregs, mem)``, and returns ``None`` to fall
+# through, a branch target when a branch is taken, or ``HALTED``.
+
+Handler = Callable[[Dict[str, int], Dict[str, float], Memory], Optional[int]]
+
+#: Returned by the HALT handler (branch targets are never negative).
+HALTED = -1
+
+
+def _int_rr(fn):
+    """``rd <- fn(rs1, rs2)``, wrapped to 64 bits."""
+    def make(instr: Instr) -> Handler:
+        d, a, b = instr.dst, instr.srcs[0], instr.srcs[1]
+
+        def run(ir, fr, mem):
+            v = fn(ir[a], ir[b])
+            ir[d] = v if _INT_MIN <= v <= _INT_MAX else _wrap64(v)
+        return run
+    return make
+
+
+def _int_ri(fn, shift: bool = False):
+    """``rd <- fn(rs1, imm)``, wrapped; shift counts are taken mod 64."""
+    def make(instr: Instr) -> Handler:
+        d, a = instr.dst, instr.srcs[0]
+        k = instr.imm & 63 if shift else instr.imm
+
+        def run(ir, fr, mem):
+            v = fn(ir[a], k)
+            ir[d] = v if _INT_MIN <= v <= _INT_MAX else _wrap64(v)
+        return run
+    return make
+
+
+def _li(instr: Instr) -> Handler:
+    d, v = instr.dst, _wrap64(instr.imm)
+
+    def run(ir, fr, mem):
+        ir[d] = v
+    return run
+
+
+def _mov(instr: Instr) -> Handler:
+    d, a = instr.dst, instr.srcs[0]
+
+    def run(ir, fr, mem):
+        ir[d] = ir[a]
+    return run
+
+
+def _fp_rr(fn):
+    """``fd <- fn(fs1, fs2)``."""
+    def make(instr: Instr) -> Handler:
+        d, a, b = instr.dst, instr.srcs[0], instr.srcs[1]
+
+        def run(ir, fr, mem):
+            fr[d] = fn(fr[a], fr[b])
+        return run
+    return make
+
+
+def _fp_r(fn):
+    """``fd <- fn(fs1)``."""
+    def make(instr: Instr) -> Handler:
+        d, a = instr.dst, instr.srcs[0]
+
+        def run(ir, fr, mem):
+            fr[d] = fn(fr[a])
+        return run
+    return make
+
+
+def _fdiv(instr: Instr) -> Handler:
+    d, a, b = instr.dst, instr.srcs[0], instr.srcs[1]
+
+    def run(ir, fr, mem):
+        denom = fr[b]
+        if denom == 0.0:
+            raise GuestFault("floating-point divide by zero")
+        fr[d] = fr[a] / denom
+    return run
+
+
+def _fsqrt(instr: Instr) -> Handler:
+    d, a = instr.dst, instr.srcs[0]
+
+    def run(ir, fr, mem):
+        val = fr[a]
+        if val < 0.0:
+            raise GuestFault("fsqrt of negative value")
+        fr[d] = math.sqrt(val)
+    return run
+
+
+def _fmadd(instr: Instr) -> Handler:
+    d, a, b, c = instr.dst, *instr.srcs[:3]
+
+    def run(ir, fr, mem):
+        fr[d] = fr[a] * fr[b] + fr[c]
+    return run
+
+
+def _fli(instr: Instr) -> Handler:
+    d, v = instr.dst, instr.fimm
+
+    def run(ir, fr, mem):
+        fr[d] = v
+    return run
+
+
+def _fmov(instr: Instr) -> Handler:
+    d, a = instr.dst, instr.srcs[0]
+
+    def run(ir, fr, mem):
+        fr[d] = fr[a]
+    return run
+
+
+def _itof(instr: Instr) -> Handler:
+    d, a = instr.dst, instr.srcs[0]
+
+    def run(ir, fr, mem):
+        fr[d] = float(ir[a])
+    return run
+
+
+def _ftoi(instr: Instr) -> Handler:
+    d, a = instr.dst, instr.srcs[0]
+
+    def run(ir, fr, mem):
+        ir[d] = _wrap64(int(fr[a]))
+    return run
+
+
+def _ld(instr: Instr) -> Handler:
+    d, a, k = instr.dst, instr.srcs[0], instr.imm
+
+    def run(ir, fr, mem):
+        ir[d] = mem.load_int(ir[a] + k)
+    return run
+
+
+def _st(instr: Instr) -> Handler:
+    a, b, k = instr.srcs[0], instr.srcs[1], instr.imm
+
+    def run(ir, fr, mem):
+        mem.store_int(ir[a] + k, ir[b])
+    return run
+
+
+def _fld(instr: Instr) -> Handler:
+    d, a, k = instr.dst, instr.srcs[0], instr.imm
+
+    def run(ir, fr, mem):
+        fr[d] = mem.load_fp(ir[a] + k)
+    return run
+
+
+def _fst(instr: Instr) -> Handler:
+    a, b, k = instr.srcs[0], instr.srcs[1], instr.imm
+
+    def run(ir, fr, mem):
+        mem.store_fp(ir[a] + k, fr[b])
+    return run
+
+
+def _jmp(instr: Instr) -> Handler:
+    target = instr.imm
+
+    def run(ir, fr, mem):
+        return target
+    return run
+
+
+def _branch(cmp, fp: bool = False):
+    """Branch to ``imm`` when ``cmp(rs1, rs2)`` (fp registers if *fp*)."""
+    def make(instr: Instr) -> Handler:
+        a, b, target = instr.srcs[0], instr.srcs[1], instr.imm
+        if fp:
+            def run(ir, fr, mem):
+                if cmp(fr[a], fr[b]):
+                    return target
+        else:
+            def run(ir, fr, mem):
+                if cmp(ir[a], ir[b]):
+                    return target
+        return run
+    return make
+
+
+def _branch_zero(taken_if_zero: bool):
+    def make(instr: Instr) -> Handler:
+        a, target = instr.srcs[0], instr.imm
+        if taken_if_zero:
+            def run(ir, fr, mem):
+                if ir[a] == 0:
+                    return target
+        else:
+            def run(ir, fr, mem):
+                if ir[a] != 0:
+                    return target
+        return run
+    return make
+
+
+def _nop_handler(ir, fr, mem):
+    return None
+
+
+def _halt_handler(ir, fr, mem):
+    return HALTED
+
+
+#: Opcode -> handler factory: builds the handler of one instruction.
+DISPATCH: Dict[Op, Callable[[Instr], Handler]] = {
+    Op.ADD: _int_rr(operator.add),
+    Op.SUB: _int_rr(operator.sub),
+    Op.ADDI: _int_ri(operator.add),
+    Op.SUBI: _int_ri(operator.sub),
+    Op.MUL: _int_rr(operator.mul),
+    Op.MULI: _int_ri(operator.mul),
+    Op.AND: _int_rr(operator.and_),
+    Op.OR: _int_rr(operator.or_),
+    Op.XOR: _int_rr(operator.xor),
+    Op.SHL: _int_ri(operator.lshift, shift=True),
+    Op.SHR: _int_ri(operator.rshift, shift=True),
+    Op.LI: _li,
+    Op.MOV: _mov,
+    Op.FADD: _fp_rr(operator.add),
+    Op.FSUB: _fp_rr(operator.sub),
+    Op.FMUL: _fp_rr(operator.mul),
+    Op.FDIV: _fdiv,
+    Op.FSQRT: _fsqrt,
+    Op.FMADD: _fmadd,
+    Op.FNEG: _fp_r(operator.neg),
+    Op.FABS: _fp_r(abs),
+    Op.FLI: _fli,
+    Op.FMOV: _fmov,
+    Op.ITOF: _itof,
+    Op.FTOI: _ftoi,
+    Op.LD: _ld,
+    Op.ST: _st,
+    Op.FLD: _fld,
+    Op.FST: _fst,
+    Op.JMP: _jmp,
+    Op.BEQ: _branch(operator.eq),
+    Op.BNE: _branch(operator.ne),
+    Op.BLT: _branch(operator.lt),
+    Op.BGE: _branch(operator.ge),
+    Op.BEQZ: _branch_zero(True),
+    Op.BNEZ: _branch_zero(False),
+    Op.FBLT: _branch(operator.lt, fp=True),
+    Op.FBGE: _branch(operator.ge, fp=True),
+    Op.NOP: lambda instr: _nop_handler,
+    Op.HALT: lambda instr: _halt_handler,
+}
+
+
+class DecodedProgram:
+    """A program resolved once into flat per-pc records.
+
+    ``handlers[pc]`` executes the instruction at *pc*; ``opclass`` and
+    ``flops`` feed the statistics fold; ``block_len[pc]`` is the length
+    of the basic block entered at *pc* (through its first block ender,
+    as :meth:`Program.basic_block_at` draws it).
+    """
+
+    __slots__ = ("handlers", "opclass", "flops", "block_len")
+
+    def __init__(self, program: Program) -> None:
+        instrs = program.instrs
+        self.handlers: Tuple[Handler, ...] = tuple(
+            DISPATCH[instr.op](instr) for instr in instrs
+        )
+        self.opclass: Tuple[OpClass, ...] = tuple(i.opclass for i in instrs)
+        self.flops: Tuple[int, ...] = tuple(i.flops for i in instrs)
+        self.block_len: Tuple[int, ...] = tuple(
+            len(program.basic_block_at(pc)) for pc in range(len(instrs))
+        )
+
+
+def decode(program: Program) -> DecodedProgram:
+    """*program*'s decoded form, built on first use and kept on the object.
+
+    The memo is keyed by identity and lives outside the dataclass
+    fields, so it never changes ``Program`` equality, hash or repr.
+    """
+    decoded = program.__dict__.get("_decoded")
+    if decoded is None:
+        decoded = DecodedProgram(program)
+        program.__dict__["_decoded"] = decoded
+    return decoded
+
+
 class Machine:
     """Executes guest programs one instruction at a time.
 
-    This is the golden model: simple, slow, obviously correct.  It also
-    exposes :meth:`step` so the CMS interpreter module can reuse its
-    semantics while layering its own cost model and profiling on top.
+    This is the golden model: simple, obviously correct, and the
+    semantics every other engine replays.  :meth:`trace` is the one
+    fetch-execute loop; :meth:`execute` runs a bounded stretch through
+    it (the CMS interpreter and VLIW engine run one block at a time),
+    and the port simulator consumes it directly.
+
+    Retired instructions are tallied per pc of the decoded program and
+    folded into :attr:`stats` when it is read.
     """
 
     def __init__(self, state: Optional[MachineState] = None,
                  max_steps: int = 10_000_000) -> None:
         self.state = state if state is not None else MachineState()
         self.max_steps = max_steps
-        self.stats = ExecStats()
+        self._stats = ExecStats()
+        #: decoded program -> (retired, taken) per-pc counts not yet
+        #: folded into ``_stats``.
+        self._tallies: Dict[DecodedProgram, Tuple[List[int], List[int]]] = {}
 
-    # -- single-instruction semantics ------------------------------------
+    @property
+    def stats(self) -> ExecStats:
+        """Dynamic execution statistics of everything run so far."""
+        stats = self._stats
+        by_class = stats.by_class
+        for decoded, (retired, taken) in self._tallies.items():
+            for pc, n in enumerate(retired):
+                if n:
+                    stats.instructions += n
+                    stats.flops += n * decoded.flops[pc]
+                    cls = decoded.opclass[pc]
+                    by_class[cls] = by_class.get(cls, 0) + n
+                    retired[pc] = 0
+            stats.taken_branches += sum(taken)
+            taken[:] = [0] * len(taken)
+        return stats
+
+    def execute(self, program: Program, limit: int) -> int:
+        """Execute at most *limit* instructions, stopping after HALT.
+
+        Returns the number executed (0 if the machine is already
+        halted).  A fault leaves ``state.pc`` at the faulting instruction.
+        """
+        done = 0
+        for _ in self.trace(program, limit):
+            done += 1
+        return done
+
+    def trace(self, program: Program, limit: int) -> Iterator[int]:
+        """Execute like :meth:`execute`, yielding each pc just before it runs.
+
+        While the consumer holds a yielded pc, ``state`` is the state
+        that instruction will read (timing models take memory addresses
+        from it).  Consume the iterator to the end: the last yielded
+        instruction runs only on the following resume.
+        """
+        st = self.state
+        decoded = decode(program)
+        handlers = decoded.handlers
+        n = len(handlers)
+        if decoded not in self._tallies:
+            self._tallies[decoded] = ([0] * n, [0] * n)
+        retired, taken = self._tallies[decoded]
+        ir, fr, mem = st.iregs, st.fregs, st.mem
+        pc = st.pc
+        for _ in range(limit):
+            if st.halted:
+                return
+            if not 0 <= pc < n:
+                raise GuestFault(f"pc {pc} outside program {program.name}")
+            yield pc
+            nxt = handlers[pc](ir, fr, mem)
+            retired[pc] += 1
+            if nxt is None:
+                pc += 1
+            elif nxt >= 0:
+                taken[pc] += 1
+                pc = nxt
+            else:
+                pc += 1
+                st.halted = True
+            st.pc = pc
 
     def step(self, program: Program) -> bool:
         """Execute one instruction; return ``False`` once halted."""
-        st = self.state
-        if st.halted:
-            return False
-        if not 0 <= st.pc < len(program):
-            raise GuestFault(f"pc {st.pc} outside program {program.name}")
-        instr = program[st.pc]
-        taken = self._execute(instr)
-        self.stats.count(instr, taken)
-        return not st.halted
+        return self.execute(program, 1) == 1 and not self.state.halted
 
     def run(self, program: Program) -> ExecStats:
         """Run *program* from the current PC until HALT."""
-        steps = 0
-        while self.step(program):
-            steps += 1
-            if steps > self.max_steps:
-                raise GuestFault(
-                    f"exceeded max_steps={self.max_steps} in {program.name}"
-                )
+        self.execute(program, self.max_steps + 1)
+        if not self.state.halted:
+            raise GuestFault(
+                f"exceeded max_steps={self.max_steps} in {program.name}"
+            )
         return self.stats
-
-    # -- semantics of each opcode ----------------------------------------
-
-    def _execute(self, instr: Instr) -> bool:
-        """Apply *instr* to the state; returns True if a branch was taken."""
-        st = self.state
-        op = instr.op
-        ir, fr, mem = st.iregs, st.fregs, st.mem
-        s = instr.srcs
-        next_pc = st.pc + 1
-        taken = False
-
-        if op is Op.ADD:
-            ir[instr.dst] = _wrap64(ir[s[0]] + ir[s[1]])
-        elif op is Op.SUB:
-            ir[instr.dst] = _wrap64(ir[s[0]] - ir[s[1]])
-        elif op is Op.ADDI:
-            ir[instr.dst] = _wrap64(ir[s[0]] + instr.imm)
-        elif op is Op.SUBI:
-            ir[instr.dst] = _wrap64(ir[s[0]] - instr.imm)
-        elif op is Op.MUL:
-            ir[instr.dst] = _wrap64(ir[s[0]] * ir[s[1]])
-        elif op is Op.MULI:
-            ir[instr.dst] = _wrap64(ir[s[0]] * instr.imm)
-        elif op is Op.AND:
-            ir[instr.dst] = _wrap64(ir[s[0]] & ir[s[1]])
-        elif op is Op.OR:
-            ir[instr.dst] = _wrap64(ir[s[0]] | ir[s[1]])
-        elif op is Op.XOR:
-            ir[instr.dst] = _wrap64(ir[s[0]] ^ ir[s[1]])
-        elif op is Op.SHL:
-            ir[instr.dst] = _wrap64(ir[s[0]] << (instr.imm & 63))
-        elif op is Op.SHR:
-            ir[instr.dst] = _wrap64(ir[s[0]] >> (instr.imm & 63))
-        elif op is Op.LI:
-            ir[instr.dst] = _wrap64(instr.imm)
-        elif op is Op.MOV:
-            ir[instr.dst] = ir[s[0]]
-
-        elif op is Op.FADD:
-            fr[instr.dst] = fr[s[0]] + fr[s[1]]
-        elif op is Op.FSUB:
-            fr[instr.dst] = fr[s[0]] - fr[s[1]]
-        elif op is Op.FMUL:
-            fr[instr.dst] = fr[s[0]] * fr[s[1]]
-        elif op is Op.FDIV:
-            denom = fr[s[1]]
-            if denom == 0.0:
-                raise GuestFault("floating-point divide by zero")
-            fr[instr.dst] = fr[s[0]] / denom
-        elif op is Op.FSQRT:
-            val = fr[s[0]]
-            if val < 0.0:
-                raise GuestFault("fsqrt of negative value")
-            fr[instr.dst] = math.sqrt(val)
-        elif op is Op.FMADD:
-            fr[instr.dst] = fr[s[0]] * fr[s[1]] + fr[s[2]]
-        elif op is Op.FNEG:
-            fr[instr.dst] = -fr[s[0]]
-        elif op is Op.FABS:
-            fr[instr.dst] = abs(fr[s[0]])
-        elif op is Op.FLI:
-            fr[instr.dst] = instr.fimm
-        elif op is Op.FMOV:
-            fr[instr.dst] = fr[s[0]]
-        elif op is Op.ITOF:
-            fr[instr.dst] = float(ir[s[0]])
-        elif op is Op.FTOI:
-            ir[instr.dst] = _wrap64(int(fr[s[0]]))
-
-        elif op is Op.LD:
-            ir[instr.dst] = mem.load_int(ir[s[0]] + instr.imm)
-        elif op is Op.ST:
-            mem.store_int(ir[s[0]] + instr.imm, ir[s[1]])
-        elif op is Op.FLD:
-            fr[instr.dst] = mem.load_fp(ir[s[0]] + instr.imm)
-        elif op is Op.FST:
-            mem.store_fp(ir[s[0]] + instr.imm, fr[s[1]])
-
-        elif op is Op.JMP:
-            next_pc, taken = instr.imm, True
-        elif op is Op.BEQ:
-            if ir[s[0]] == ir[s[1]]:
-                next_pc, taken = instr.imm, True
-        elif op is Op.BNE:
-            if ir[s[0]] != ir[s[1]]:
-                next_pc, taken = instr.imm, True
-        elif op is Op.BLT:
-            if ir[s[0]] < ir[s[1]]:
-                next_pc, taken = instr.imm, True
-        elif op is Op.BGE:
-            if ir[s[0]] >= ir[s[1]]:
-                next_pc, taken = instr.imm, True
-        elif op is Op.BEQZ:
-            if ir[s[0]] == 0:
-                next_pc, taken = instr.imm, True
-        elif op is Op.BNEZ:
-            if ir[s[0]] != 0:
-                next_pc, taken = instr.imm, True
-        elif op is Op.FBLT:
-            if fr[s[0]] < fr[s[1]]:
-                next_pc, taken = instr.imm, True
-        elif op is Op.FBGE:
-            if fr[s[0]] >= fr[s[1]]:
-                next_pc, taken = instr.imm, True
-
-        elif op is Op.NOP:
-            pass
-        elif op is Op.HALT:
-            st.halted = True
-        else:  # pragma: no cover - exhaustiveness guard
-            raise GuestFault(f"unimplemented opcode {op}")
-
-        st.pc = next_pc
-        return taken
 
 
 def run_program(program: Program, state: Optional[MachineState] = None,

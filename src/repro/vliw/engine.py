@@ -16,9 +16,9 @@ transparent - the property real CMS must also guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.isa.instructions import OpClass, Program
+from repro.isa.instructions import REG_INDEX, OpClass, Program
 from repro.isa.machine import Machine
 from repro.vliw.atoms import Atom, atoms_from_block
 from repro.vliw.molecules import FULL_FORMAT, Molecule, SlotLimits
@@ -29,6 +29,32 @@ from repro.vliw.units import TM5600_LATENCIES, LatencyTable, UnitKind
 _UNPIPELINED = frozenset({OpClass.FPDIV, OpClass.FPSQRT})
 
 
+#: Scoreboard record of one molecule: (source register indices, whether
+#: it needs the FPU, (destination index, latency) per write, and the
+#: latency an unpipelined atom holds the FPU for, or None).
+MoleculeTiming = Tuple[Tuple[int, ...], bool, Tuple[Tuple[int, int], ...],
+                       Optional[int]]
+
+
+def _molecule_timing(molecule: Molecule) -> MoleculeTiming:
+    """Resolve what the scoreboard needs of *molecule*, once."""
+    reads = []
+    writes = []
+    uses_fpu = False
+    fpu_hold = None
+    for atom in molecule:
+        for src in atom.reads():
+            if REG_INDEX[src] not in reads:
+                reads.append(REG_INDEX[src])
+        uses_fpu = uses_fpu or atom.unit is UnitKind.FPU
+        dst = atom.writes()
+        if dst is not None:
+            writes.append((REG_INDEX[dst], atom.latency))
+        if atom.opclass in _UNPIPELINED:
+            fpu_hold = atom.latency
+    return tuple(reads), uses_fpu, tuple(writes), fpu_hold
+
+
 @dataclass(frozen=True)
 class TranslatedBlock:
     """A scheduled native translation of one guest basic block."""
@@ -36,6 +62,14 @@ class TranslatedBlock:
     entry_pc: int
     atoms: Tuple[Atom, ...]
     molecules: Tuple[Molecule, ...]
+    #: Per-molecule scoreboard records, derived from ``molecules`` when
+    #: the block is built.
+    timing: Tuple[MoleculeTiming, ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "timing", tuple(_molecule_timing(m) for m in self.molecules))
 
     @property
     def guest_count(self) -> int:
@@ -75,15 +109,13 @@ class VliwEngine:
                  limits: SlotLimits = FULL_FORMAT) -> None:
         self.latencies = latencies
         self.limits = limits
-        self.clock: int = 0
-        self._reg_ready: Dict[str, int] = {}
-        self._fpu_free: int = 0
-        self.stats = EngineStats()
+        self.reset()
 
     def reset(self) -> None:
-        self.clock = 0
-        self._reg_ready.clear()
-        self._fpu_free = 0
+        self.clock: int = 0
+        #: Cycle each register's value is ready, by ``REG_INDEX``.
+        self._reg_ready: List[int] = [0] * len(REG_INDEX)
+        self._fpu_free: int = 0
         self.stats = EngineStats()
 
     def charge(self, cycles: int) -> None:
@@ -101,34 +133,33 @@ class VliwEngine:
         golden machine (so ``machine.state`` and ``machine.stats`` are
         identical to a pure-interpreter run).
         """
-        start = self.clock
-        t_prev = self.clock - 1
-        ideal = len(tb.molecules)
-        for molecule in tb.molecules:
-            t = t_prev + 1
-            for atom in molecule:
-                for src in atom.reads():
-                    t = max(t, self._reg_ready.get(src, 0))
-                if atom.unit is UnitKind.FPU:
-                    t = max(t, self._fpu_free)
-            for atom in molecule:
-                dst = atom.writes()
-                if dst is not None:
-                    self._reg_ready[dst] = t + atom.latency
-                if atom.opclass in _UNPIPELINED:
-                    self._fpu_free = t + atom.latency
-            t_prev = t
-            self.stats.molecules_issued += 1
-            self.stats.atoms_executed += len(molecule)
-        self.clock = t_prev + 1
-        self.stats.blocks_executed += 1
-        self.stats.stall_cycles += (self.clock - start) - ideal
-
         if machine.state.pc != tb.entry_pc:
             raise ValueError(
                 f"machine pc {machine.state.pc} does not match block entry "
                 f"{tb.entry_pc}"
             )
-        for _ in range(tb.guest_count):
-            machine.step(program)
+        start = self.clock
+        reg_ready = self._reg_ready
+        fpu_free = self._fpu_free
+        t = start - 1
+        for reads, uses_fpu, writes, fpu_hold in tb.timing:
+            t += 1
+            for src in reads:
+                if reg_ready[src] > t:
+                    t = reg_ready[src]
+            if uses_fpu and fpu_free > t:
+                t = fpu_free
+            for dst, latency in writes:
+                reg_ready[dst] = t + latency
+            if fpu_hold is not None:
+                fpu_free = t + fpu_hold
+        self._fpu_free = fpu_free
+        self.clock = t + 1
+        stats = self.stats
+        stats.molecules_issued += len(tb.timing)
+        stats.atoms_executed += tb.guest_count
+        stats.blocks_executed += 1
+        stats.stall_cycles += (self.clock - start) - len(tb.timing)
+
+        machine.execute(program, tb.guest_count)
         return self.clock - start

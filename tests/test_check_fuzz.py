@@ -125,3 +125,29 @@ def test_sched_oracle_catches_invariant_violations(monkeypatch):
         message = run_fuzz_case("sched", params)
     assert message is not None
     assert "planted ledger rot" in message
+
+
+@pytest.mark.parametrize("location, corrupt", [
+    ("r3", lambda state: state.iregs.__setitem__("r3", state.iregs["r3"] + 1)),
+    ("mem[4096]", lambda state: state.mem.store_int(4096, 7)),
+])
+def test_cms_divergence_is_reported_shrunk_and_dumped(
+        tmp_path, monkeypatch, location, corrupt):
+    from repro.cms import CodeMorphingSoftware
+
+    real = CodeMorphingSoftware.run
+
+    def diverging(self, program, state=None, max_steps=10_000_000):
+        result = real(self, program, state, max_steps)
+        corrupt(result.state)
+        return result
+
+    monkeypatch.setattr(CodeMorphingSoftware, "run", diverging)
+    report = run_fuzz(cases=1, seed=3, quick=True, oracles=["cms"],
+                      out_dir=tmp_path)
+    assert len(report.failures) == 1
+    failure = report.failures[0]
+    assert failure.oracle == "cms"
+    assert f"1 location(s), first: {location} " in failure.message
+    assert failure.manifest_path is not None
+    assert failure.params["blocks"] == 1     # shrunk to the floor
