@@ -26,9 +26,10 @@ This package turns that convention into a checked property:
   stack attached, and the outcome digests, trace hashes and net
   ledgers must agree bit for bit.
 - :mod:`repro.check.fuzz` — the differential fuzz driver behind
-  ``python -m repro.cli check --fuzz``: randomized cases through three
-  oracles (CMS translator vs golden interpreter, batched vs naive
-  treecode traversal, FCFS vs EASY-backfill schedule safety), with
+  ``python -m repro.cli check --fuzz``: randomized cases through four
+  oracles (CMS translator vs golden interpreter, port-simulator block
+  memo vs per-instruction timing, batched vs naive treecode traversal,
+  FCFS vs EASY-backfill schedule safety), with
   failing cases shrunk and written as replayable manifest files.
 """
 

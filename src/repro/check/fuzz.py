@@ -1,4 +1,4 @@
-"""Differential fuzzing: three oracles, randomized seeds, shrinking.
+"""Differential fuzzing: four oracles, randomized seeds, shrinking.
 
 Each oracle runs one randomized case through two implementations that
 must agree and returns ``None`` (agreement) or a failure message:
@@ -6,6 +6,12 @@ must agree and returns ``None`` (agreement) or a failure message:
 - ``cms``        — CMS translator+VLIW pipeline vs the golden
                    interpreter on :func:`repro.isa.randprog` programs
                    (bit-identical architectural state);
+- ``port``       — the port simulator's block memo vs the
+                   per-instruction reference loop
+                   (:func:`port_reference`) on random programs
+                   (some with data-dependent load addresses) and
+                   machine shapes (identical cycles, architectural
+                   state and execution statistics);
 - ``traversal``  — batched vectorised treecode traversal vs the naive
                    per-group reference walk (bit-identical
                    accelerations and work counters);
@@ -130,6 +136,118 @@ class CmsOracle(Oracle):
             yield {**params, "block_len": max(2, params["block_len"] // 2)}
         if params["narrow"]:
             yield {**params, "narrow": False}
+
+
+def port_reference(sim, program, state, max_steps: int = 10**6):
+    """Time *program* on *sim* one instruction at a time.
+
+    The loop the block memo of ``PortSimulator.simulate`` replaces:
+    every pc of ``Machine.trace`` goes through ``_issue`` with its
+    effective address.  Returns ``(cycles, machine)``.
+    """
+    from repro.isa.machine import Machine
+
+    sim._load(sim._empty, 0, 0)
+    records = [sim._record(instr) for instr in program]
+    machine = Machine(state=state, max_steps=max_steps)
+    iregs = machine.state.iregs
+    for pc in machine.trace(program, max_steps):
+        instr = program[pc]
+        addr = iregs[instr.srcs[0]] + instr.imm if records[pc][5] else None
+        sim._issue(records[pc], addr)
+    return sim._last_retire, machine
+
+
+def port_stress_table():
+    """A port table the catalog lacks: two load ports, and integer and
+    multiply units that stay busy longer than their latency."""
+    from repro.cpus.ports import PortSpec, make_port_table
+
+    return make_port_table(
+        load_ports=("mem0", "mem1"), fmul_occupancy=6,
+    ).replace(ialu=PortSpec(("alu0", "alu1"), 1, 2))
+
+
+class PortOracle(Oracle):
+    """Port-simulator block memo vs the per-instruction reference."""
+
+    name = "port"
+
+    #: Port tables: a catalog CPU's, the generic default, or the stress
+    #: table.
+    TABLES = ("Intel Pentium III", "IBM Power3", "Intel Pentium 4",
+              "generic", "stress")
+
+    def draw(self, rng: random.Random, quick: bool) -> Dict[str, Any]:
+        return {
+            "seed": rng.randrange(1 << 24),
+            "blocks": rng.randint(1, 3 if quick else 5),
+            "block_len": rng.randint(2, 8 if quick else 14),
+            "trips": rng.choice((5, 20)),
+            "alias": rng.random() < 0.3,
+            "table": rng.choice(self.TABLES),
+            "issue_width": rng.randint(1, 4),
+            "window": rng.choice((0, 1, 2, 8, 32, 96)),
+            "fma": rng.random() < 0.5,
+        }
+
+    def run(self, params: Dict[str, Any]) -> Optional[str]:
+        from repro.cpus.catalog import cpu_by_name
+        from repro.cpus.ports import make_port_table
+        from repro.cpus.portsim import PortSimulator
+        from repro.isa.randprog import (
+            random_alias_program,
+            random_program,
+            random_state,
+        )
+
+        name = params["table"]
+        table = (make_port_table() if name == "generic"
+                 else port_stress_table() if name == "stress"
+                 else cpu_by_name(name).table)
+        if params["alias"]:
+            program = random_alias_program(params["seed"], params["trips"])
+        else:
+            program = random_program(
+                params["seed"], blocks=params["blocks"],
+                block_len=params["block_len"], loop_trips=params["trips"],
+            )
+        sim = PortSimulator(table, issue_width=params["issue_width"],
+                            window=params["window"], has_fma=params["fma"])
+        # Long loops can overflow a float that a later integer load
+        # reads; then both runs must fail alike.
+        try:
+            cycles, machine = port_reference(
+                sim, program, random_state(params["seed"]))
+        except ArithmeticError as exc:
+            try:
+                sim.simulate(program, random_state(params["seed"]),
+                             max_steps=10**6)
+            except type(exc):
+                return None
+            return f"the reference raised {exc!r}, the block memo did not"
+        memo = sim.simulate(program, random_state(params["seed"]),
+                            max_steps=10**6)
+        if memo.cycles != cycles:
+            return (f"block memo times {memo.cycles} cycles, the "
+                    f"per-instruction reference {cycles}")
+        if memo.guest_stats != machine.stats:
+            return "execution statistics differ from the reference run"
+        diffs = _state_divergences(memo.state, machine.state)
+        if diffs:
+            where, mine, ref = diffs[0]
+            return (f"state diverges on {len(diffs)} location(s), first: "
+                    f"{where} (memo={mine!r}, reference={ref!r})")
+        return None
+
+    def shrink(self, params: Dict[str, Any]
+               ) -> Iterator[Dict[str, Any]]:
+        if params["blocks"] > 1:
+            yield {**params, "blocks": params["blocks"] - 1}
+        if params["block_len"] > 2:
+            yield {**params, "block_len": max(2, params["block_len"] // 2)}
+        if params["window"] > 0:
+            yield {**params, "window": params["window"] // 2}
 
 
 class TraversalOracle(Oracle):
@@ -272,12 +390,13 @@ class SchedOracle(Oracle):
 
 ORACLES: Dict[str, Oracle] = {
     oracle.name: oracle
-    for oracle in (CmsOracle(), TraversalOracle(), SchedOracle())
+    for oracle in (CmsOracle(), PortOracle(), TraversalOracle(),
+                   SchedOracle())
 }
 
-#: Case mix per 5 fuzz cases: the sched oracle is ~10x costlier than
-#: the other two, so it gets one slot in five.
-_MIX = ("cms", "traversal", "cms", "traversal", "sched")
+#: Case mix per 6 fuzz cases: the sched oracle is ~10x costlier than
+#: the other three, so it gets one slot in six.
+_MIX = ("cms", "traversal", "port", "cms", "traversal", "sched")
 
 
 @dataclass

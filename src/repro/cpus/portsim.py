@@ -20,6 +20,13 @@ Semantics come from the golden machine; the simulator only produces
 timing, so every hardware model is architecturally exact by
 construction.  Branch prediction is assumed perfect (the paper's kernels
 are dominated by highly regular loops); this is noted in DESIGN.md.
+
+Each basic block is timed once per pipeline state (DESIGN.md §4l): the
+timing state at a block's entry is normalised to a base cycle and
+interned, and a memo that lives for one :meth:`PortSimulator.simulate`
+call maps (entry pc, instructions run, state, alias signature) to the
+state after the block and the distance the base moved.  Only a miss
+runs the per-instruction kernel :meth:`PortSimulator._issue`.
 """
 
 from __future__ import annotations
@@ -27,10 +34,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instructions import REG_INDEX, Instr, Op, OpClass, Program
-from repro.isa.machine import ExecStats, Machine, MachineState
+from repro.isa.machine import ExecStats, Machine, MachineState, decode
 from repro.cpus.base import (
     KernelResult,
     Processor,
@@ -56,14 +64,14 @@ class PortTimeline:
     Unlike a scalar next-free counter, a calendar lets a younger,
     data-ready instruction claim an idle slot *before* an older, stalled
     instruction's booking - the oldest-ready-first behaviour of real
-    out-of-order issue queues.
+    out-of-order issue queues.  Intervals never overlap, so ``starts``
+    and ``ends`` are both sorted.  The simulator rebuilds the calendar
+    from a normalised state on every block-memo miss, keeping only the
+    intervals that can still delay an issue, so it stays short without
+    any pruning.
     """
 
     __slots__ = ("starts", "ends")
-
-    #: Intervals kept before pruning the oldest half (bounded memory and
-    #: O(log n) booking; anything older is effectively retired).
-    _PRUNE_AT = 512
 
     def __init__(self) -> None:
         self.starts: list = []
@@ -85,10 +93,6 @@ class PortTimeline:
     def commit(self, index: int, start: int, occupancy: int) -> None:
         self.starts.insert(index, start)
         self.ends.insert(index, start + occupancy)
-        if len(self.starts) > self._PRUNE_AT:
-            keep = self._PRUNE_AT // 2
-            del self.starts[:-keep]
-            del self.ends[:-keep]
 
     def book(self, ready: int, occupancy: int) -> int:
         """Reserve *occupancy* cycles at the earliest start >= ready."""
@@ -102,10 +106,16 @@ _NOT_MEM, _LOAD, _STORE = 0, 1, 2
 _MEM_KIND = {OpClass.LOAD: _LOAD, OpClass.STORE: _STORE}
 
 #: Per-pc issue record: (port timelines, latency, occupancy, source
-#: register indices, destination index or -1, memory kind, address base
-#: register, address immediate).
+#: register indices, destination index or -1, memory kind).
 IssueRecord = Tuple[Tuple[PortTimeline, ...], int, int, Tuple[int, ...],
-                    int, int, Optional[str], int]
+                    int, int]
+
+#: Timing state normalised to a base cycle (every time relative to it):
+#: (register ready times, per-port (starts, ends), dispatch ring,
+#: retire ring, last retire, live-store issue times by slot).
+TimingState = Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, ...],
+                                                 Tuple[int, ...]], ...],
+                    Tuple[int, ...], Tuple[int, ...], int, Tuple[int, ...]]
 
 
 class PortSimulator:
@@ -122,21 +132,71 @@ class PortSimulator:
         #: reorder-buffer depth; 0 models a strict in-order pipeline.
         self.window = window
         self.has_fma = has_fma
-        self._reset()
-
-    def _reset(self) -> None:
-        self._reg_ready: List[int] = [0] * len(REG_INDEX)
         self._ports: Dict[str, PortTimeline] = {
             p: PortTimeline() for p in self.table.port_names()
         }
-        self._dispatch_ring: deque = deque(maxlen=self.issue_width)
-        self._retire_ring: deque = deque(
-            maxlen=self.window if self.window > 0 else 1
+        #: The empty pipeline: nothing in flight, every time 0.
+        self._empty: TimingState = (
+            (0,) * len(REG_INDEX), (((), ()),) * len(self._ports),
+            (), (), 0, (),
         )
+
+    def _load(self, state: TimingState, phase: int, lag: int) -> None:
+        """Set the absolute timing state to *state*, with its base at 0.
+
+        Live store *k* is keyed by its slot number *k*.  An in-order
+        machine's dispatch ring is rebuilt from *phase* and *lag* (see
+        :meth:`simulate`); an out-of-order one's comes from *state*.
+        """
+        regs, ports, dispatch, retire, last_retire, stores = state
+        self._reg_ready: List[int] = list(regs)
+        for timeline, (starts, ends) in zip(self._ports.values(), ports):
+            timeline.starts = list(starts)
+            timeline.ends = list(ends)
+        width = self.issue_width
+        if self.window == 0:
+            # Instruction i dispatches at i // width: *phase* of the last
+            # width instructions share the next one's cycle, which lies
+            # *lag* cycles before the last issue.
+            dispatch = (-lag - 1,) * (width - phase) + (-lag,) * phase
+        self._dispatch_ring = deque(dispatch, maxlen=width)
+        self._retire_ring = deque(retire, maxlen=self.window or 1)
         self._last_issue = 0
-        self._last_retire = 0
-        self._store_issue_by_addr: Dict[int, int] = {}
-        self._horizon = 0
+        self._last_retire = last_retire
+        self._store_issue_by_addr: Dict[int, int] = dict(enumerate(stores))
+
+    def _normalised(self, base: int) -> Tuple[TimingState, Tuple[int, ...]]:
+        """The timing state relative to *base*, and its live-store keys.
+
+        Exact because no instruction after *base* dispatches or issues
+        before it (see :meth:`_time_block`): a register ready at or
+        before *base* is ready at *base*, and a port interval or store
+        that ends by *base* can never delay an issue.  A ring entry
+        binds only while it is the oldest of a full ring, and then only
+        if it lies after *base* (retire ring) or at it (dispatch ring;
+        out of order, *base* is its newest entry).  Dropping the other
+        entries just leaves the ring short of full until the dropped
+        ones would have left it anyway.  An in-order machine rebuilds
+        its dispatch ring in :meth:`_load` instead.  Live stores take
+        slots in key order.
+        """
+        regs = tuple([t - base if t > base else 0 for t in self._reg_ready])
+        ports = []
+        for timeline in self._ports.values():
+            live = bisect_right(timeline.ends, base)
+            ports.append((tuple([t - base for t in timeline.starts[live:]]),
+                          tuple([t - base for t in timeline.ends[live:]])))
+        dispatch = ()
+        if self.window > 0:
+            dispatch = (0,) * self._dispatch_ring.count(base)
+        retire = self._retire_ring
+        retire = tuple([t - base for t in islice(
+            retire, bisect_right(retire, base), None)])
+        stores = self._store_issue_by_addr
+        keys = tuple(sorted(k for k, t in stores.items() if t > base))
+        state = (regs, tuple(ports), dispatch, retire,
+                 self._last_retire - base, tuple(stores[k] - base for k in keys))
+        return state, keys
 
     def _record(self, instr: Instr) -> IssueRecord:
         """Resolve *instr* against the port table and this run's ports."""
@@ -147,23 +207,19 @@ class PortSimulator:
             # multiply feeding an add: longer latency, double occupancy.
             latency += self.table.spec(OpClass.FPADD).latency
             occupancy += 1
-        kind = _MEM_KIND.get(instr.opclass, _NOT_MEM)
         return (
             tuple(self._ports[p] for p in spec.ports),
             latency,
             occupancy,
             tuple(REG_INDEX[r] for r in instr.reads()),
             -1 if instr.dst is None else REG_INDEX[instr.dst],
-            kind,
-            instr.srcs[0] if kind else None,
-            instr.imm,
+            _MEM_KIND.get(instr.opclass, _NOT_MEM),
         )
 
-    def _issue(self, record: IssueRecord, iregs: Dict[str, int]) -> None:
-        """Time one instruction; called before it runs, so a memory
-        operation's address comes from the registers it reads."""
-        ports, latency, occupancy, reads, dst, kind, base, imm = record
-        mem_addr = iregs[base] + imm if kind else None
+    def _issue(self, record: IssueRecord, mem_addr: Optional[int]) -> None:
+        """Time one instruction; *mem_addr* keys a memory operation's
+        word (any value that is equal exactly when the addresses are)."""
+        ports, latency, occupancy, reads, dst, kind = record
 
         # --- dispatch (in-order, fetch- and ROB-bounded) ---
         ring = self._dispatch_ring
@@ -210,28 +266,102 @@ class PortSimulator:
             self._last_retire = done
         if self.window > 0:
             self._retire_ring.append(self._last_retire)
-        if done > self._horizon:
-            self._horizon = done
+
+    def _time_block(self, before: TimingState, records: List[IssueRecord],
+                    signature: Tuple[int, ...], phase: int, lag: int
+                    ) -> Tuple[TimingState, int, Tuple[int, ...]]:
+        """Memo miss: issue one block from *before*, normalise the result.
+
+        Memory operations are keyed by their *signature* numbers.
+        Returns (state after, base delta, live-store keys after).
+        """
+        self._load(before, phase, lag)
+        numbers = iter(signature)
+        issue = self._issue
+        for record in records:
+            issue(record, next(numbers) if record[5] else None)
+        # Out of order, no later instruction dispatches (so none issues)
+        # before the last dispatch; in order, none issues before the
+        # last issue.
+        base = self._dispatch_ring[-1] if self.window else self._last_issue
+        after, keys = self._normalised(base)
+        return after, base, keys
 
     def simulate(self, program: Program,
                  state: Optional[MachineState] = None,
                  max_steps: int = 10_000_000) -> SimOutcome:
-        """Run *program*, feeding every retired instruction to the model."""
-        self._reset()
+        """Run *program*, timing each basic block once per pipeline state.
+
+        The golden machine executes every instruction; each block's
+        memory addresses are read as its pcs are yielded.  A block is
+        keyed by (entry pc, instructions run, interned state id, alias
+        signature): the signature numbers each address by first
+        appearance, live stores first, since timing sees addresses only
+        through equality.  An in-order machine adds its dispatch phase
+        (steps mod issue width) and the lag of its next dispatch behind
+        the last issue, capped where dispatch can no longer bind within
+        one block.
+        """
         records = [self._record(instr) for instr in program]
+        operands = [
+            (instr.srcs[0], instr.imm) if rec[5] else None
+            for instr, rec in zip(program, records)
+        ]
+        block_len = decode(program).block_len
+        width = self.issue_width
+        in_order = self.window == 0
+        lag_cap = -(-max(block_len, default=1) // width) + 2
         machine = Machine(state=state, max_steps=max_steps)
         iregs = machine.state.iregs
-        issue = self._issue
-        steps = 0
-        for pc in machine.trace(program, max_steps + 1):
-            issue(records[pc], iregs)
-            steps += 1
+        trace = machine.trace(program, max_steps + 1)
+
+        interned: Dict[TimingState, int] = {self._empty: 0}
+        states: List[TimingState] = [self._empty]
+        memo: Dict[tuple, Tuple[int, int, Tuple[int, ...]]] = {}
+        sid = base = steps = phase = lag = 0
+        live: List[int] = []            # live store addresses by slot
+        for entry in trace:
+            addrs = []
+            ops = operands[entry]
+            if ops is not None:
+                addrs.append(iregs[ops[0]] + ops[1])
+            run = 1
+            for pc in islice(trace, block_len[entry] - 1):
+                run += 1
+                ops = operands[pc]
+                if ops is not None:
+                    addrs.append(iregs[ops[0]] + ops[1])
+            number = {addr: slot for slot, addr in enumerate(live)}
+            signature = tuple([number.setdefault(a, len(number))
+                               for a in addrs])
+            if in_order:
+                phase = steps % width
+                lag = min(base - steps // width, lag_cap)
+            steps += run
+            key = (entry, run, sid, signature, phase, lag)
+            hit = memo.get(key)
+            if hit is None:
+                after, delta, keys = self._time_block(
+                    states[sid], records[entry:entry + run], signature,
+                    phase, lag)
+                nid = interned.get(after)
+                if nid is None:
+                    nid = interned[after] = len(states)
+                    states.append(after)
+                hit = memo[key] = (nid, delta, keys)
+            sid, delta, keys = hit
+            base += delta
+            if keys:
+                addresses = list(number)
+                live = [addresses[k] for k in keys]
+            elif live:
+                live = []
         if steps > max_steps:
             raise RuntimeError(
                 f"exceeded max_steps={max_steps} in {program.name}"
             )
         return SimOutcome(
-            cycles=self._horizon,
+            cycles=base + states[sid][4],
             state=machine.state,
             guest_stats=machine.stats,
         )

@@ -141,6 +141,50 @@ def random_program(seed: int, blocks: int = 3, block_len: int = 8,
     return Program(instrs=tuple(instrs), name=f"random-{seed}")
 
 
+#: Index table and data array of :func:`random_alias_program`.
+_ALIAS_TABLE = 3_000
+_ALIAS_DATA = 5_000
+
+
+def random_alias_program(seed: int, trips: int = 24,
+                         reach: int = 3) -> Program:
+    """A loop whose load address comes from a random index table.
+
+    Trip *i* loads ``a[table[i]]``, runs a divide on it and stores the
+    result to ``a[i]``.  ``table[i]`` is ``i - d`` for a random distance
+    *d* of 1 to *reach* (the word an earlier trip's store wrote, which
+    may still be in flight) or a word no store touches, so the same
+    block meets a different memory alias pattern on each trip.  The
+    prologue writes the table with stores; any initial state works.
+    """
+    rng = random.Random(seed)
+    instrs: List[Instr] = [Instr(op=Op.LI, dst="r5", imm=_ALIAS_TABLE)]
+    for i in range(trips):
+        d = rng.randint(1, reach + 1)
+        index = i - d if d <= min(reach, i) else trips + i
+        instrs.append(Instr(op=Op.LI, dst="r7", imm=index))
+        instrs.append(Instr(op=Op.ST, srcs=("r5", "r7"), imm=i))
+    instrs += [
+        Instr(op=Op.LI, dst="r1", imm=0),
+        Instr(op=Op.LI, dst="r2", imm=trips),
+        Instr(op=Op.FLI, dst="f3", fimm=1.5),
+    ]
+    loop = len(instrs)
+    instrs += [
+        Instr(op=Op.ADD, dst="r6", srcs=("r5", "r1")),
+        Instr(op=Op.LD, dst="r7", srcs=("r6",)),
+        Instr(op=Op.FLD, dst="f1", srcs=("r7",), imm=_ALIAS_DATA),
+        Instr(op=Op.FADD, dst="f1", srcs=("f1", "f3")),
+        Instr(op=Op.FDIV, dst="f2", srcs=("f1", "f3")),
+        Instr(op=Op.FST, srcs=("r1", "f2"), imm=_ALIAS_DATA),
+        Instr(op=Op.ADDI, dst="r1", srcs=("r1",), imm=1),
+        Instr(op=Op.SUBI, dst="r2", srcs=("r2",), imm=1),
+        Instr(op=Op.BNEZ, srcs=("r2",), imm=loop),
+        Instr(op=Op.HALT),
+    ]
+    return Program(instrs=tuple(instrs), name=f"random-alias-{seed}")
+
+
 def random_state(seed: int) -> MachineState:
     """Initial state with bounded register/memory contents."""
     rng = random.Random(seed ^ 0xDEADBEEF)

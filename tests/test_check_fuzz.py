@@ -23,12 +23,12 @@ def test_quick_campaign_is_clean_and_mixed():
     report = run_fuzz(cases=30, seed=99, quick=True)
     assert report.ok, report.format()
     assert report.cases == 30
-    assert set(report.by_oracle) == {"cms", "traversal", "sched"}
+    assert set(report.by_oracle) == {"cms", "port", "traversal", "sched"}
     assert sum(report.by_oracle.values()) == 30
     assert "zero differential failures" in report.format()
 
 
-@pytest.mark.parametrize("oracle", ["cms", "traversal", "sched"])
+@pytest.mark.parametrize("oracle", ["cms", "port", "traversal", "sched"])
 def test_each_oracle_runs_clean_solo(oracle):
     cases = 2 if oracle == "sched" else 8
     report = run_fuzz(cases=cases, seed=5, quick=True, oracles=[oracle])
